@@ -4,7 +4,10 @@
     python3 perfbench/run.py --workload fluid-sweep --seed 1 --seconds 20 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics of ``BENCHMARK.json`` with no
-instrumentation.  ``--trace 1`` alternates untraced passes with passes in
+instrumentation.  Every time is taken between two runs of a fixed
+calibration workload and reported at the reference host speed (see
+``hostspeed.py``); the raw medians are printed before the result.
+``--trace 1`` alternates untraced passes with passes in
 which the layers of ``spans.py`` are wrapped, and reports the per-layer
 metrics: self times and work counts per pass, the share of traced time the
 layers cover and the tracing overhead.  ``--workload all`` runs every
@@ -120,14 +123,20 @@ def provenance(args) -> Dict[str, object]:
 
 
 def tail(samples: List[float]) -> Tuple[float, float, int]:
-    """Return (value, percentile, samples beyond) of the highest percentile
-    with at least ten samples beyond it.  Below 21 samples that percentile
-    would not lie above the median, so the maximum is returned instead."""
-    ordered = sorted(samples)
-    count = len(ordered)
-    if count < 21:
-        return ordered[-1], 100.0, 0
-    return ordered[count - 11], 100.0 * (count - 10) / count, 10
+    """Return (value, percentile, samples beyond) of the tail percentile.
+
+    That is the highest percentile with at least ten samples beyond it, but
+    never below the 90th: with fewer than 100 samples the 90th percentile
+    (interpolated) is reported, with fewer than ten samples beyond it.  A
+    percentile that followed the sample count would move between runs as
+    the number of passes that fit in ``--seconds`` changes.
+    """
+    import numpy as np
+
+    count = len(samples)
+    percentile = max(90.0, 100.0 * (count - 10) / count)
+    value = float(np.percentile(samples, percentile))
+    return value, percentile, sum(1 for sample in samples if sample > value)
 
 
 def declared_metrics(trace: int) -> Dict[str, str]:
@@ -150,20 +159,23 @@ class Tally:
             print(f"failed: {problem}", file=sys.stderr)
 
 
-def timed_pass(workload, reference, tally: Tally):
-    """Run and check one pass; return (wall seconds, call latencies) or None."""
+def timed_pass(workload, reference, tally: Tally, clock):
+    """Run and check one pass.
+
+    Return (wall seconds, call latencies, raw wall seconds, factor), the
+    first two at reference host speed (``clock`` is a ``HostClock``), or
+    None when the pass raised.
+    """
     gc.collect()
-    begin = perf_counter()
     try:
-        latencies, outputs = workload.run_pass()
+        (latencies, outputs), raw, factor = clock.around(workload.run_pass)
     except Exception:  # a raising pass fails all its operations
         traceback.print_exc()
         tally.add(workload.operations, ["pass raised"] * workload.operations)
         return None
-    wall = perf_counter() - begin
     verdict = workload.check(outputs, reference)
     tally.add(verdict.attempted, verdict.problems)
-    return wall, latencies
+    return raw * factor, [latency * factor for latency in latencies], raw, factor
 
 
 def end_to_end(workload, walls, latencies, setups) -> Dict[str, float]:
@@ -212,19 +224,30 @@ def per_layer(summaries, traced_walls, untraced_walls) -> Tuple[Dict[str, float]
 
 
 def run_workload(args) -> Dict[str, object]:
+    from hostspeed import HostClock
+    from workloads import WORKLOADS
+
+    with HostClock(WORKLOADS[args.workload].CALIBRATION) as clock:
+        return measure_workload(args, clock)
+
+
+def measure_workload(args, clock) -> Dict[str, object]:
     from workloads import WORKLOADS, load_reference
 
     cls = WORKLOADS[args.workload]
     setups: List[float] = []
-    while len(setups) < SETUP_REPEATS or (len(setups) < SETUP_MAX and sum(setups) < SETUP_BUDGET_S):
+    raw_setups: List[float] = []
+    while len(setups) < SETUP_REPEATS or (len(setups) < SETUP_MAX and sum(raw_setups) < SETUP_BUDGET_S):
         workload = None  # free the previous set-up before timing the next
         gc.collect()
-        begin = perf_counter()
-        workload = cls(args.size, args.seed)
-        setups.append(perf_counter() - begin)
+        workload, raw, factor = clock.around(lambda: cls(args.size, args.seed))
+        raw_setups.append(raw)
+        setups.append(raw * factor)
     reference = load_reference(args.size, args.workload)
     tally = Tally()
     walls: List[float] = []
+    raw_walls: List[float] = []
+    factors: List[float] = []
     latencies: List[List[float]] = []
     traced_walls: List[float] = []
     summaries: List[Dict[str, float]] = []
@@ -240,24 +263,34 @@ def run_workload(args) -> Dict[str, object]:
     begin = perf_counter()
     while len(rounds) < least or perf_counter() - begin + statistics.median(rounds) <= args.seconds:
         round_begin = perf_counter()
-        outcome = timed_pass(workload, reference, tally)
+        outcome = timed_pass(workload, reference, tally, clock)
         if outcome is not None:
             walls.append(outcome[0])
             latencies.append(outcome[1])
+            raw_walls.append(outcome[2])
+            factors.append(outcome[3])
         if recorder is not None:
             recorder.reset()
             recorder.install()
             try:
-                outcome = timed_pass(workload, reference, tally)
+                outcome = timed_pass(workload, reference, tally, clock)
             finally:
                 recorder.uninstall()
             if outcome is not None:
                 traced_walls.append(outcome[0])
-                summaries.append(recorder.summary())
+                summaries.append({
+                    key: value * outcome[3] if key.endswith(".self_s") else value
+                    for key, value in recorder.summary().items()
+                })
         rounds.append(perf_counter() - round_begin)
     if not walls or (recorder is not None and not traced_walls):
         raise RuntimeError("every pass raised; nothing was measured")
 
+    print(
+        f"raw (not normalised): setup_s median {statistics.median(raw_setups):.6g}, "
+        f"pass median {statistics.median(raw_walls):.6g} s; host speed factor median "
+        f"{statistics.median(factors):.4g} (range {min(factors):.4g}-{max(factors):.4g})"
+    )
     unstable: List[str] = []
     if recorder is None:
         computed = end_to_end(workload, walls, latencies, setups)

@@ -19,6 +19,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import run  # noqa: E402
 import workloads  # noqa: E402
+from hostspeed import HostClock  # noqa: E402
 from spans import SpanRecorder  # noqa: E402
 
 
@@ -70,7 +71,8 @@ def corrupt_pass(workload, corrupt):
 
 def error_rate(workload) -> float:
     tally = run.Tally()
-    run.timed_pass(workload, workloads.load_reference("tiny", workload.name), tally)
+    with HostClock(workload.CALIBRATION) as clock:
+        run.timed_pass(workload, workloads.load_reference("tiny", workload.name), tally, clock)
     return tally.failed / tally.attempted
 
 

@@ -140,6 +140,8 @@ class FluidSweep:
     """Incident rows on grown Sioux Falls through ``run_cases`` (one batched run)."""
 
     name = "fluid-sweep"
+    # Host-speed calibration parts (see hostspeed.py): dense tables.
+    CALIBRATION = ("interpreter", "arrays")
     INCIDENT_FACTOR = 0.35
 
     def __init__(self, size: str, seed: int):
@@ -231,6 +233,7 @@ class SingleReplica:
     """A closed loop of single (B = 1) runs on three small instances."""
 
     name = "single-replica"
+    CALIBRATION = ("interpreter",)
     INSTANCES = ("braess", "two-links-steep", "parallel-8-affine")
     # label -> (update period, stale) of the runs made on every instance;
     # "agents" is the finite-population run, the others fluid runs.
@@ -308,6 +311,7 @@ class Equilibrium:
     """A cold BFW solve of Sioux Falls to relative gap 1e-4, repeated."""
 
     name = "equilibrium"
+    CALIBRATION = ("interpreter",)
 
     def __init__(self, size: str, seed: int):
         # The input is fixed by the instance, so the seed is not used.
@@ -351,6 +355,7 @@ class CgCity:
     """One batched column-generation call with incident rows on a city grid."""
 
     name = "cg-city"
+    CALIBRATION = ("interpreter",)
     DEMAND = 1200.0
     ALPHA_SCALE = 4.0
     INCIDENT_FACTOR = 0.4
