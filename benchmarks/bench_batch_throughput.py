@@ -1,4 +1,4 @@
-"""E8 -- throughput of the batched engine vs. the scalar simulation loop.
+"""E8 -- throughput of one batched run vs. a loop of one-row batches.
 
 The batched engine integrates a whole ensemble of replicas as one stacked
 ``(B, P)`` array -- including *multi-network* ensembles where every replica
@@ -6,14 +6,15 @@ routes on its own same-topology instance with different latency
 coefficients.  This benchmark builds the acceptance workload of the
 family-batching layer: a 64-case two-link sweep whose slope coefficient
 ``beta`` differs per case, run once as one `NetworkFamily` batched
-integration and once through the per-case scalar loop.  The batched path
-must be at least 10x faster and bit-equivalent to the scalar runs; in
-practice the gap is well over an order of magnitude.
+integration and once as a per-case loop of ``simulate`` calls, each of which
+is a one-row batch.  The 64-row run must be at least 10x faster and
+bit-equivalent to the one-row runs; in practice the gap is well over an
+order of magnitude.
 
-The scalar baseline is timed on an 8-case subsample to keep the benchmark
+The one-row loop is timed on an 8-case subsample to keep the benchmark
 quick: every case has the same horizon, resolution and nearly the same
 period, hence the same per-case cost, so the subsample rate is an unbiased
-estimate of the full scalar rate.
+estimate of the full loop's rate.
 
 Script mode (``python benchmarks/bench_batch_throughput.py [--smoke]``)
 additionally measures the *telemetry overhead guarantee*: the instrumented
@@ -65,7 +66,7 @@ def build_family_sweep():
 
 
 @pytest.mark.experiment("E8")
-def test_family_batch_vs_scalar_throughput(report_header):
+def test_family_batch_vs_one_row_loop_throughput(report_header):
     family, policy, starts, periods = build_family_sweep()
 
     # The runner fuses all 64 same-topology/different-coefficient cases into
@@ -76,19 +77,19 @@ def test_family_batch_vs_scalar_throughput(report_header):
     ]
     assert len({group_key(case) for case in cases}) == 1
 
-    scalar_final = []
+    loop_final = []
     with bench_timer(
-        "bench_batch_throughput", "E8 scalar loop",
-        engine="fluid-scalar", instance="two-links-family", cases=SCALAR_SAMPLE,
-    ) as scalar_timer:
+        "bench_batch_throughput", "E8 one-row batch loop",
+        engine="fluid-batch", instance="two-links-family", cases=SCALAR_SAMPLE,
+    ) as loop_timer:
         for row in range(SCALAR_SAMPLE):
             trajectory = simulate(
                 family.member(row), policy, update_period=periods[row], horizon=HORIZON,
                 initial_flow=starts[row], steps_per_phase=STEPS_PER_PHASE,
             )
-            scalar_final.append(trajectory.final_flow.values())
-    scalar_seconds = scalar_timer.seconds
-    scalar_rate = scalar_timer.rate
+            loop_final.append(trajectory.final_flow.values())
+    loop_seconds = loop_timer.seconds
+    loop_rate = loop_timer.rate
 
     with bench_timer(
         "bench_batch_throughput", "E8 family batch",
@@ -101,14 +102,14 @@ def test_family_batch_vs_scalar_throughput(report_header):
     batch_seconds = batch_timer.seconds
     batch_rate = batch_timer.rate
 
-    speedup = batch_rate / scalar_rate
+    speedup = batch_rate / loop_rate
     print_table(
         [
             {
-                "engine": "scalar loop",
+                "engine": "one-row batch loop",
                 "cases": SCALAR_SAMPLE,
-                "seconds": scalar_seconds,
-                "cases/sec": scalar_rate,
+                "seconds": loop_seconds,
+                "cases/sec": loop_rate,
             },
             {
                 "engine": "BatchSimulator (family)",
@@ -119,15 +120,15 @@ def test_family_batch_vs_scalar_throughput(report_header):
             {"engine": "speedup", "cases/sec": speedup},
         ],
         title=(
-            f"E8: family-batched vs scalar throughput "
+            f"E8: family-batched vs one-row loop throughput "
             f"({NUM_CASES}-case two-link beta sweep)"
         ),
     )
 
-    # The batched rows must agree with the scalar runs they replace.
+    # The batched rows must agree with the one-row runs they replace.
     final = result.final_flows()
-    for row, scalar_values in enumerate(scalar_final):
-        assert np.allclose(final[row], scalar_values, atol=1e-10)
+    for row, loop_values in enumerate(loop_final):
+        assert np.allclose(final[row], loop_values, atol=1e-10)
     assert speedup >= 10.0, f"family-batched engine only {speedup:.1f}x faster"
 
 

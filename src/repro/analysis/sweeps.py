@@ -190,7 +190,7 @@ def run_sweep(
     :func:`repro.experiments.runner.run_cases`): ``"auto"`` fuses
     same-topology groups (including different-coefficient network families)
     into batched integrations, ``"batch"`` forces batching, ``"serial"``
-    runs the original scalar loop and ``"processes"`` uses a worker pool.
+    runs one case at a time and ``"processes"`` uses a worker pool.
     """
     # Imported lazily: the runner builds on analysis types defined above.
     from ..experiments.runner import run_cases

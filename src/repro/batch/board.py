@@ -63,7 +63,6 @@ class BatchBulletinBoard:
         self.posted_path_latencies = np.zeros((batch, self.network.num_paths))
         self.posted_times = np.full(batch, -np.inf)
         self.phase_index = np.full(batch, -1, dtype=int)
-        self._ever_posted = np.zeros(batch, dtype=bool)
 
     def __len__(self) -> int:
         return len(self.update_periods)
@@ -74,8 +73,7 @@ class BatchBulletinBoard:
         The scenario layer calls this at every phase boundary: posting then
         prices the rows' live flows in their *current* environments.  Only the
         latency functions may differ -- posted arrays, clocks and phase
-        counters are untouched, exactly as when the scalar simulator points
-        its board at the phase's effective network.
+        counters are untouched.
         """
         if isinstance(network, NetworkFamily):
             if network.size != len(self):
@@ -127,9 +125,8 @@ class BatchBulletinBoard:
         )
         self.posted_times[mask] = self.phase_starts(times)[mask]
         self.phase_index[mask] += 1
-        self._ever_posted |= mask
 
     def needs_update(self, times: np.ndarray) -> np.ndarray:
         """Return the boolean mask of rows whose refresh is due at ``times``."""
-        due = self.phase_starts(times) > self.posted_times + 1e-12
-        return due | ~self._ever_posted
+        # Never-posted rows hold posted_times = -inf, so they are always due.
+        return self.phase_starts(times) > self.posted_times + 1e-12

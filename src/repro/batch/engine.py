@@ -14,15 +14,17 @@ two-link slopes) into one batched run as well.
 
 Correctness contract
 --------------------
-Row ``r`` of a batched run reproduces the scalar
-:class:`~repro.core.simulator.ReroutingSimulator` trajectory for the same
-configuration (and, for families, the same member network) *exactly* (bit
-for bit in practice, and certainly within 1e-10): the engine mirrors the
-scalar phase/step-count arithmetic
-(:func:`~repro.core.dynamics.num_integration_steps`), uses batched kernels
-that perform the same floating-point operations row by row, and applies the
-same clip-and-rescale projection at phase boundaries.  The equivalence is
-enforced by the property tests in ``tests/batch``.
+This is the only fluid engine: :func:`~repro.core.simulator.simulate` and
+:class:`~repro.core.simulator.ReroutingSimulator` run it as a batch of one.
+Row ``r`` of a ``B``-row run equals the one-row run of its own
+configuration (and, for families, its member network) bit for bit in
+practice and within 1e-10 always: rows are independent, every kernel
+performs the same floating-point operations row by row, and the engine
+applies the same clip-and-rescale projection at every phase boundary
+(``tests/batch`` checks this).  The reference for the dynamics themselves
+is ``tests/data/simulate_goldens.json``, frozen from the former scalar
+phase loop before it was deleted; ``tests/core/test_simulate_goldens.py``
+holds ``simulate`` to it at 1e-12 relative.
 
 Because rows are independent, the engine advances all rows through *their
 own* phase ``k`` simultaneously even when their update periods differ — the
@@ -79,9 +81,9 @@ class BatchConfig:
     record_every:
         Optional stride (in integrator sub-steps) for dense trajectory
         recording: every ``record_every``-th sub-step records an additional
-        (projected) sample between the phase boundaries, mirroring the
-        scalar simulator's ``record_every_step`` at stride 1.  ``None``
-        (default) records phase boundaries only.
+        (projected) sample between the phase boundaries; ``simulate``'s
+        ``record_every_step`` is stride 1.  ``None`` (default) records phase
+        boundaries only.
     """
 
     update_periods: np.ndarray = field(default_factory=lambda: np.array([0.1]))
@@ -122,8 +124,7 @@ class BatchResult:
     sample (``k = 0`` is the initial state, then one sample per completed
     phase); only the first ``num_points[r]`` slots of row ``r`` are valid.
     ``stop_phases[r]`` is the index of the phase whose end triggered row
-    ``r``'s ``stop_when`` condition (−1 if it never fired), matching the
-    scalar simulator's early-exit phase exactly.
+    ``r``'s ``stop_when`` condition (−1 if it never fired).
 
     Dense (strided) runs additionally fill ``sample_phases[r, k]`` with the
     phase index each sample belongs to, ``boundary_mask[r, k]`` with whether
@@ -188,10 +189,10 @@ class BatchResult:
         return self.flows[row, : self.num_points[row]].copy()
 
     def trajectory(self, row: int) -> Trajectory:
-        """Materialise one row as a scalar :class:`Trajectory`.
+        """Materialise one row as a :class:`Trajectory`.
 
-        The result has the same points, phase records and metadata as a
-        scalar simulator run of that configuration (on the row's own family
+        The result has the same points, phase records and metadata as the
+        ``simulate`` run of that configuration (on the row's own family
         member for heterogeneous batches), so the whole analysis toolkit
         (convergence counting, oscillation detection, sweep row builders)
         applies unchanged.
@@ -381,7 +382,7 @@ class BatchSimulator(BatchEnsembleBase):
         boundary the per-row effective networks are stacked through
         :class:`~repro.scenarios.scenario.ScenarioEnsemble` into a cached
         :class:`NetworkFamily` whose latency evaluation stays vectorised.
-        Row ``r`` remains bit-identical to a scalar
+        Row ``r`` remains bit-identical to the one-row
         :class:`~repro.core.simulator.ReroutingSimulator` run with
         ``scenario=scenarios[r]``.
     """
@@ -422,21 +423,28 @@ class BatchSimulator(BatchEnsembleBase):
         Within a phase the sampling and migration matrices depend only on the
         posted snapshot, so they are assembled once per phase (for the active
         sub-batch only — frozen rows skip this work entirely) instead of once
-        per integrator stage; the values, and hence the trajectory, are
-        identical to the scalar simulator's.
+        per integrator stage, with the same values.
         """
         sigma, mu = self._policy_tables(
             board.posted_flows[rows], board.posted_path_latencies[rows], rows
         )
         # Same folded form as ReroutingPolicy.growth_rates/frozen_growth_field
-        # (one product + one reduction per stage), keeping scalar and batched
-        # stale phases bit-identical.
+        # (one product + one reduction per stage).
         rates = sigma * mu
         outflow_rates = rates.sum(axis=2)
+        if len(rows) == 1:
+            # One row: the same dot products as a plain (1, P) @ (P, P)
+            # product, without the stacked-matmul broadcasting per stage.
+            single = rates[0]
 
-        def field(_t, state: np.ndarray) -> np.ndarray:
-            inflow = np.matmul(state[:, None, :], rates)[:, 0, :]
-            return inflow - state * outflow_rates
+            def field(_t, state: np.ndarray) -> np.ndarray:
+                return np.matmul(state, single) - state * outflow_rates
+
+        else:
+
+            def field(_t, state: np.ndarray) -> np.ndarray:
+                inflow = np.matmul(state[:, None, :], rates)[:, 0, :]
+                return inflow - state * outflow_rates
 
         return field
 
@@ -480,12 +488,11 @@ class BatchSimulator(BatchEnsembleBase):
 
         ``stop_when(times, flows, rows)`` is the vectorised per-row stopping
         condition (see :data:`BatchStoppingCondition`), evaluated at every
-        phase boundary on the projected flows — exactly where the scalar
-        simulator evaluates its ``stop_when(time, flow)``.  Rows whose
-        condition fires are frozen: the stopping phase is still recorded
-        (matching the scalar behaviour) and the row then drops out of the
-        active sub-batch, skipping all further sampling, migration and
-        latency work; its stop phase is recorded in ``stop_phases``.
+        phase boundary on the projected flows.  Rows whose condition fires
+        are frozen: the stopping phase is still recorded and the row then
+        drops out of the active sub-batch, skipping all further sampling,
+        migration and latency work; its stop phase is recorded in
+        ``stop_phases``.
         """
         config = self.config
         network = self.network
@@ -495,6 +502,7 @@ class BatchSimulator(BatchEnsembleBase):
         flows = self._initial_flows(initial_flows)
         stepper = batch_stepper_for(config.method)
         record_every = config.record_every
+        dense = record_every is not None
         tele = get_telemetry()
         run_span = tele.span(
             "engine_run",
@@ -510,11 +518,11 @@ class BatchSimulator(BatchEnsembleBase):
         frozen_counter = tele.counter("batch.rows_frozen_by_stop_when")
         refresh_counter = tele.counter("batch.bulletin_refreshes")
 
-        # Per-row phase counts, mirroring the scalar ceil(horizon / T).
+        # Per-row phase counts: ceil(horizon / T).
         planned_phases = np.ceil(horizons / periods).astype(int)
         max_phases = int(planned_phases.max())
 
-        if record_every is None:
+        if not dense:
             capacity = max_phases + 1
         else:
             # ceil(duration / max_step) can land on steps_per_phase + 1 when
@@ -548,15 +556,16 @@ class BatchSimulator(BatchEnsembleBase):
         max_steps = periods / config.steps_per_phase
         for phase in range(max_phases):
             starts = phase * periods
-            # The scalar loop stops as soon as a phase boundary reaches the
-            # horizon (or stop_when fires), so a row is active only while its
-            # phase starts early and it has not been frozen.
+            # A row stops as soon as a phase end reaches its horizon (which
+            # rounding can make happen one phase before ceil(horizon / T)) or
+            # its stop_when fires.
             active = (phase < planned_phases) & (starts < horizons) & (stop_phases < 0)
             if not active.any():
                 break
             rows = np.flatnonzero(active)
-            ends = np.minimum((phase + 1) * periods, horizons)
-            durations = ends[rows] - starts[rows]
+            row_starts = starts[rows]
+            row_ends = np.minimum((phase + 1) * periods[rows], horizons[rows])
+            durations = row_ends - row_starts
 
             if ensemble is not None:
                 # Freeze every row's environment at its own phase start; the
@@ -568,9 +577,9 @@ class BatchSimulator(BatchEnsembleBase):
             phase_span = tele.span("phase", index=phase, active_rows=len(rows))
             if config.stale:
                 if phase > 0:
-                    # Mirror the scalar board's maybe_update: floating-point
-                    # effects in floor(t / T) occasionally leave a snapshot in
-                    # place for one more phase, and rows must reproduce that.
+                    # Refresh by the board's floor(t / T) rule: rounding
+                    # occasionally leaves a snapshot in place for one more
+                    # phase, exactly as the goldens record.
                     due = board.needs_update(starts) & active
                     if due.any():
                         board.post_rows(starts, flows, mask=due)
@@ -581,28 +590,34 @@ class BatchSimulator(BatchEnsembleBase):
             else:
                 field = self._fresh_rates(rows)
 
-            # Same sub-step count as the scalar integrate(): ceil(duration/step).
+            # Same sub-step count as integrate(): ceil(duration / max_step).
             num_steps = np.maximum(1, np.ceil(durations / max_steps[rows])).astype(int)
             step_sizes = durations / num_steps
             state = flows[rows]
-            row_starts = starts[rows]
-            integrate_span = tele.span(
-                "integrate",
-                steps=int(num_steps.max()),
-                state_bytes=state.nbytes,
+            steps = int(num_steps.max())
+            # When every active row takes the same sub-steps from the same
+            # start (always, for a batch of one) the stepper gets plain
+            # floats: the same arithmetic without per-step broadcasting.
+            shared = len(rows) == 1 or bool(
+                np.all(num_steps == steps)
+                and np.all(step_sizes == step_sizes[0])
+                and np.all(row_starts == row_starts[0])
             )
-            for k in range(int(num_steps.max())):
-                live = k < num_steps
-                step = np.where(live, step_sizes, 0.0)[:, None]
-                tick = (row_starts + k * step_sizes)[:, None]
+            integrate_span = tele.span("integrate", steps=steps, state_bytes=state.nbytes)
+            if shared:
+                step, first = float(step_sizes[0]), float(row_starts[0])
+            for k in range(steps):
+                if shared:
+                    tick = first + k * step
+                else:
+                    step = np.where(k < num_steps, step_sizes, 0.0)[:, None]
+                    tick = (row_starts + k * step_sizes)[:, None]
                 state = stepper(field, tick, state, step)
-                if record_every is not None:
-                    # Strided intermediate samples, mirroring the scalar
-                    # record_every_step contract: the *projected* state is
+                if dense and (k + 1) % record_every == 0:
+                    # Strided intermediate samples: the *projected* state is
                     # recorded while integration continues from the raw one.
-                    due = live & ((k + 1) % record_every == 0) & (k + 1 < num_steps)
-                    if due.any():
-                        selected = np.flatnonzero(due)
+                    selected = np.flatnonzero(k + 1 < num_steps)
+                    if len(selected):
                         mid_rows = rows[selected]
                         cursors = num_points[mid_rows]
                         times[mid_rows, cursors] = (
@@ -619,16 +634,17 @@ class BatchSimulator(BatchEnsembleBase):
             projected = FlowVector.project_batch(network, state)
             flows[rows] = projected
             cursors = num_points[rows]
-            times[rows, cursors] = ends[rows]
+            times[rows, cursors] = row_ends
             recorded[rows, cursors] = projected
-            sample_phases[rows, cursors] = phase
-            boundary_mask[rows, cursors] = True
+            if dense:
+                sample_phases[rows, cursors] = phase
+                boundary_mask[rows, cursors] = True
             num_points[rows] += 1
             phase_counts[rows] += 1
             phases_counter.add(len(rows))
 
             if stop_when is not None:
-                hit = np.asarray(stop_when(ends[rows], projected, rows), dtype=bool)
+                hit = np.asarray(stop_when(row_ends, projected, rows), dtype=bool)
                 if hit.shape != rows.shape:
                     raise ValueError(
                         f"stop_when returned shape {hit.shape}, expected {rows.shape}"
@@ -644,7 +660,6 @@ class BatchSimulator(BatchEnsembleBase):
         run_span.close()
         tele.counter("batch.runs").add()
         labels = [policy.label() for policy in self._policies]
-        dense = record_every is not None
         return BatchResult(
             network=network,
             policy_names=labels,

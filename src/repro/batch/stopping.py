@@ -7,7 +7,7 @@ row.  The helpers here build such predicates *together with* their scalar
 counterparts (:meth:`StopCondition.scalar`), so a batched run and its
 per-row scalar reference stop on exactly the same criterion evaluated with
 exactly the same floating-point operations; the equivalence tests assert the
-recorded stop phases match the scalar simulator's early-exit phases exactly.
+recorded stop phases match the one-row runs' early-exit phases exactly.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ class StopCondition:
 
     Calling the condition forwards to the batch predicate, so an instance
     can be passed directly as ``stop_when`` to the batched engine;
-    :meth:`scalar` adapts it to the scalar simulator's
-    ``stop_when(time, flow)`` signature for one specific batch row.
+    :meth:`scalar` adapts it to the ``stop_when(time, flow)`` signature of
+    ``simulate`` and the agent simulator for one specific batch row.
     """
 
     batch: BatchPredicate

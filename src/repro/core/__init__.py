@@ -20,7 +20,7 @@ from .bounds import (
     theorem_update_period,
     uniform_convergence_bound,
 )
-from .bulletin import BoardSnapshot, BulletinBoard, FreshInformationBoard
+from .bulletin import BoardSnapshot, BulletinBoard
 from .dynamics import (
     batch_stepper_for,
     euler_step,
@@ -64,7 +64,6 @@ __all__ = [
     "BetterResponseMigration",
     "BoardSnapshot",
     "BulletinBoard",
-    "FreshInformationBoard",
     "LinearMigration",
     "MigrationRule",
     "PhaseRecord",

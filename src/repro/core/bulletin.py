@@ -4,14 +4,15 @@ All information relevant to rerouting (the edge latencies, and for
 proportional sampling also the flow shares) is posted on a *bulletin board*
 at the beginning of every phase of fixed length ``T``.  Between updates the
 agents see only the posted snapshot, no matter how much the true flow has
-moved in the meantime.  Setting ``T = 0`` (or using
-:class:`FreshInformationBoard`) recovers the up-to-date information model of
-Section 3.1.
+moved in the meantime.  The up-to-date information model of Section 3.1
+(``T -> 0``) needs no board: the engines evaluate the live state instead
+(``stale=False``).
 
 The board is deliberately a small, explicit object rather than a flag on the
-simulator: the finite-agent simulator, the fluid-limit integrator and the
-best-response dynamics all share the same board implementation, so "what the
-agents can see" is defined in exactly one place.
+simulator, so "what the agents can see" is defined in one place.  The
+finite-agent simulator uses this board; the batched engines keep one board
+per row in :class:`~repro.batch.board.BatchBulletinBoard`, which refreshes
+with the same ``floor(t / T)`` rule.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class BulletinBoard:
 
     def __init__(self, network: WardropNetwork, update_period: float):
         if update_period <= 0:
-            raise ValueError("update period must be positive; use FreshInformationBoard for T=0")
+            raise ValueError("update period must be positive; use stale=False for T=0")
         self.network = network
         self.update_period = float(update_period)
         self._snapshot: Optional[BoardSnapshot] = None
@@ -100,20 +101,3 @@ class BulletinBoard:
             return True
         return False
 
-
-class FreshInformationBoard(BulletinBoard):
-    """A degenerate board that always shows the live state (the ``T -> 0`` limit).
-
-    Used to run the same simulator code for the up-to-date information
-    results (Theorem 2) without special-casing.
-    """
-
-    def __init__(self, network: WardropNetwork):
-        # The update period is irrelevant; pick 1 to satisfy the base class.
-        super().__init__(network, update_period=1.0)
-
-    def needs_update(self, time: float) -> bool:
-        return True
-
-    def phase_start(self, time: float) -> float:
-        return time

@@ -12,10 +12,14 @@ exists and is unique (Picard--Lindelöf); across phase boundaries it may jump,
 which is why the integrator never steps over a boundary.
 
 The integrators here are deliberately simple, explicit schemes (Euler and the
-classical Runge--Kutta 4) operating on the path-flow vector.  The growth
-rates sum to zero within every commodity by construction, so demand
-feasibility is preserved exactly; tiny negative flows from discretisation are
-clipped by the simulator via ``FlowVector.projected``.
+classical Runge--Kutta 4).  The growth rates sum to zero within every
+commodity by construction, so demand feasibility is preserved exactly; tiny
+negative flows from discretisation are clipped at phase boundaries.
+
+The fluid engine (:mod:`repro.batch.engine`, which ``simulate`` runs as a
+batch of one) uses the batched steppers.  The scalar steppers and
+:func:`integrate` serve only scalar column generation
+(:mod:`repro.largescale.columns`).
 """
 
 from __future__ import annotations
@@ -51,10 +55,10 @@ _STEPPERS = {
 #
 # The batched engine of :mod:`repro.batch` integrates a whole ensemble of
 # independent replicas as one (B, P) state array.  Because every row may have
-# its own bulletin-board period, the step size is a per-row column ``(B, 1)``
-# (a plain scalar also works); the arithmetic is exactly that of the scalar
-# steppers applied row by row, so a batched run reproduces the scalar
-# trajectories to the last bit.
+# its own bulletin-board period, the step size is a per-row column ``(B, 1)``;
+# when all rows share one sub-step (always, for a batch of one) it is a plain
+# float.  Either way the arithmetic is that of the scalar steppers applied
+# row by row.
 
 def euler_step_batch(field: RateField, time, state: np.ndarray, step) -> np.ndarray:
     """Advance a ``(B, P)`` batch one explicit-Euler step of per-row size ``step``."""
@@ -87,8 +91,9 @@ def batch_stepper_for(method: str):
 def num_integration_steps(duration: float, max_step: float) -> int:
     """Return the number of equal sub-steps ``integrate`` uses for one interval.
 
-    Exposed so the batched engine can mirror the scalar step count exactly
-    (floating-point effects can make ``ceil(T / (T / n))`` exceed ``n``).
+    The batched engines apply the same rule so every engine takes the same
+    step count (floating-point effects can make ``ceil(T / (T / n))``
+    exceed ``n``).
     """
     return max(1, int(np.ceil(duration / max_step)))
 

@@ -40,7 +40,14 @@ class MigrationRule(ABC):
         """Return the probability of migrating from latency ``l_P`` to ``l_Q``."""
 
     def matrix(self, path_latencies: np.ndarray) -> np.ndarray:
-        """Return the matrix ``mu[p, q] = mu(l_p, l_q)`` for posted latencies."""
+        """Return the matrix ``mu[p, q] = mu(l_p, l_q)`` for posted latencies.
+
+        A view of the single row of :meth:`matrix_batch` when the rule has a
+        batched kernel (every built-in rule does).  Custom rules that define
+        only :meth:`probability` get a double loop over the path pairs.
+        """
+        if type(self).matrix_batch is not MigrationRule.matrix_batch:
+            return self.matrix_batch(np.asarray(path_latencies, dtype=float)[None])[0]
         size = len(path_latencies)
         result = np.zeros((size, size))
         for p in range(size):
@@ -54,10 +61,8 @@ class MigrationRule(ABC):
     def matrix_batch(self, path_latencies: np.ndarray) -> np.ndarray:
         """Return a ``(B, P, P)`` stack of migration matrices for ``(B, P)`` latencies.
 
-        The default loops over the batch rows and calls :meth:`matrix`, so
-        custom migration rules work in the batched engine unchanged; the
-        built-in linear/better-response family overrides this with a
-        vectorised implementation matching the scalar arithmetic exactly.
+        The built-in rules override this with one vectorised kernel.  This
+        default, for custom rules, calls :meth:`matrix` once per row.
         """
         return np.stack([self.matrix(row) for row in path_latencies])
 

@@ -126,9 +126,8 @@ class ReroutingPolicy:
         transition-rate matrix (and its outflow row sums) are assembled once
         per phase instead of once per integrator stage.  The returned closure
         performs exactly the arithmetic of :meth:`growth_rates` on the
-        precomputed matrices, so trajectories are unchanged bit for bit --
-        this is the scalar port of the batched engine's per-phase
-        precomputation.
+        precomputed matrices.  Scalar column generation uses it; the fluid
+        engine builds the same field for a whole batch of rows.
         """
         sigma = self.sampling.probabilities(network, posted_flows, posted_path_latencies)
         mu = self.migration.matrix(posted_path_latencies)
@@ -140,26 +139,6 @@ class ReroutingPolicy:
             return inflow - state * outflow_rates
 
         return field
-
-    def migration_rates_batch(
-        self,
-        network: WardropNetwork,
-        current_flows: np.ndarray,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        """Return ``(B, P, P)`` migration-rate matrices for a batch of replicas.
-
-        All inputs have shape ``(B, P)``; row ``b`` of the result equals
-        :meth:`migration_rates` applied to row ``b``.  The built-in sampling
-        and migration rules supply vectorised batch kernels; custom rules fall
-        back to a per-row loop inside :meth:`SamplingRule.probabilities_batch`
-        and :meth:`MigrationRule.matrix_batch`, so any policy works here.
-        """
-        sigma = self.sampling.probabilities_batch(network, posted_flows, posted_path_latencies)
-        mu = self.migration.matrix_batch(posted_path_latencies)
-        # Same association order as the scalar path: (f * sigma) * mu.
-        return (current_flows[:, :, None] * sigma) * mu
 
     def growth_rates_batch(
         self,

@@ -25,30 +25,46 @@ bulletin board*, not the live ones; the simulator passes the stale values in.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-
 import numpy as np
 
 from ..wardrop.network import WardropNetwork
 
 
-class SamplingRule(ABC):
+class SamplingRule:
     """A rule producing, per commodity, a distribution over sampled paths.
 
     Implementations return a matrix ``sigma`` of shape ``(|P|, |P|)`` whose
     entry ``sigma[p, q]`` is the probability that an agent on (global) path
     ``p`` samples path ``q``.  Rows corresponding to paths of commodity ``i``
     place probability only on paths of the same commodity and sum to one.
+
+    A rule implements one of the two methods.  The built-in rules implement
+    the batched kernel :meth:`probabilities_batch`, and :meth:`probabilities`
+    is a view of its single row.  A custom rule may implement
+    :meth:`probabilities` instead; the batched method then stacks it row by
+    row.
     """
 
-    @abstractmethod
     def probabilities(
         self,
         network: WardropNetwork,
         posted_flows: np.ndarray,
         posted_path_latencies: np.ndarray,
     ) -> np.ndarray:
-        """Return the sampling matrix for the posted (bulletin-board) state."""
+        """Return the sampling matrix for the posted (bulletin-board) state.
+
+        For the built-in rules this is row 0 of :meth:`probabilities_batch`
+        on a batch of one, which may be a read-only view.
+        """
+        if type(self).probabilities_batch is SamplingRule.probabilities_batch:
+            raise NotImplementedError(
+                f"{self.name} implements neither probabilities nor probabilities_batch"
+            )
+        return self.probabilities_batch(
+            network,
+            np.asarray(posted_flows, dtype=float)[None],
+            np.asarray(posted_path_latencies, dtype=float)[None],
+        )[0]
 
     def probabilities_batch(
         self,
@@ -59,10 +75,8 @@ class SamplingRule(ABC):
         """Return a ``(B, P, P)`` stack of sampling matrices, one per batch row.
 
         ``posted_flows`` and ``posted_path_latencies`` have shape ``(B, P)``.
-        The default loops over the rows and calls :meth:`probabilities`, so
-        custom sampling rules work in the batched engine unchanged; the
-        built-in rules override this with a vectorised implementation that
-        performs the same floating-point operations row by row.
+        This default, for custom rules that implement only
+        :meth:`probabilities`, calls it once per row.
         """
         return np.stack(
             [
@@ -92,24 +106,18 @@ class SamplingRule(ABC):
         return type(self).__name__
 
 
+def _commodity_blocks(network: WardropNetwork):
+    """Yield ``(start, stop)`` of every commodity's contiguous path block."""
+    for i in range(network.num_commodities):
+        yield network.paths.commodity_slice(i)
+
+
 class UniformSampling(SamplingRule):
     """Sample a path of the own commodity uniformly at random.
 
     ``sigma_PQ = 1 / |P_i|`` for all ``P, Q in P_i``; independent of the flow,
     hence trivially Lipschitz continuous and everywhere positive.
     """
-
-    def probabilities(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        sigma = np.zeros((network.num_paths, network.num_paths))
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            sigma[np.ix_(indices, indices)] = 1.0 / len(indices)
-        return sigma
 
     def probabilities_batch(
         self,
@@ -118,7 +126,9 @@ class UniformSampling(SamplingRule):
         posted_path_latencies: np.ndarray,
     ) -> np.ndarray:
         # Flow-independent: one template broadcast over the batch (read-only).
-        template = self.probabilities(network, posted_flows[0], posted_path_latencies[0])
+        template = np.zeros((network.num_paths, network.num_paths))
+        for start, stop in _commodity_blocks(network):
+            template[start:stop, start:stop] = 1.0 / (stop - start)
         return np.broadcast_to(template, (posted_flows.shape[0],) + template.shape)
 
 
@@ -137,29 +147,6 @@ class ProportionalSampling(SamplingRule):
             raise ValueError("exploration must lie in [0, 1)")
         self.exploration = float(exploration)
 
-    def probabilities(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        sigma = np.zeros((network.num_paths, network.num_paths))
-        for i, commodity in enumerate(network.commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            shares = np.clip(posted_flows[indices], 0.0, None)
-            total = shares.sum()
-            if total <= 0:
-                distribution = np.full(len(indices), 1.0 / len(indices))
-            else:
-                distribution = shares / total
-            if self.exploration > 0:
-                distribution = (
-                    (1.0 - self.exploration) * distribution
-                    + self.exploration / len(indices)
-                )
-            sigma[np.ix_(indices, indices)] = np.tile(distribution, (len(indices), 1))
-        return sigma
-
     def probabilities_batch(
         self,
         network: WardropNetwork,
@@ -168,21 +155,20 @@ class ProportionalSampling(SamplingRule):
     ) -> np.ndarray:
         batch = posted_flows.shape[0]
         sigma = np.zeros((batch, network.num_paths, network.num_paths))
-        rows = np.arange(batch)
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            shares = np.clip(posted_flows[:, indices], 0.0, None)
+        for start, stop in _commodity_blocks(network):
+            count = stop - start
+            shares = np.maximum(posted_flows[:, start:stop], 0.0)
             totals = shares.sum(axis=1)
             starved = totals <= 0
             with np.errstate(divide="ignore", invalid="ignore"):
                 distribution = shares / totals[:, None]
-            distribution[starved] = 1.0 / len(indices)
+            distribution[starved] = 1.0 / count
             if self.exploration > 0:
                 distribution = (
                     (1.0 - self.exploration) * distribution
-                    + self.exploration / len(indices)
+                    + self.exploration / count
                 )
-            sigma[np.ix_(rows, indices, indices)] = distribution[:, None, :]
+            sigma[:, start:stop, start:stop] = distribution[:, None, :]
         return sigma
 
 
@@ -201,22 +187,6 @@ class SoftmaxSampling(SamplingRule):
             raise ValueError("concentration parameter c must be positive")
         self.concentration = float(concentration)
 
-    def probabilities(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ) -> np.ndarray:
-        sigma = np.zeros((network.num_paths, network.num_paths))
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            latencies = posted_path_latencies[indices]
-            # Subtract the minimum before exponentiating for numerical safety.
-            scores = np.exp(-self.concentration * (latencies - latencies.min()))
-            distribution = scores / scores.sum()
-            sigma[np.ix_(indices, indices)] = np.tile(distribution, (len(indices), 1))
-        return sigma
-
     def probabilities_batch(
         self,
         network: WardropNetwork,
@@ -225,13 +195,12 @@ class SoftmaxSampling(SamplingRule):
     ) -> np.ndarray:
         batch = posted_flows.shape[0]
         sigma = np.zeros((batch, network.num_paths, network.num_paths))
-        rows = np.arange(batch)
-        for i in range(network.num_commodities):
-            indices = np.fromiter(network.paths.commodity_indices(i), dtype=int)
-            latencies = posted_path_latencies[:, indices]
+        for start, stop in _commodity_blocks(network):
+            latencies = posted_path_latencies[:, start:stop]
+            # Subtract the minimum before exponentiating for numerical safety.
             scores = np.exp(
                 -self.concentration * (latencies - latencies.min(axis=1, keepdims=True))
             )
             distribution = scores / scores.sum(axis=1, keepdims=True)
-            sigma[np.ix_(rows, indices, indices)] = distribution[:, None, :]
+            sigma[:, start:stop, start:stop] = distribution[:, None, :]
         return sigma

@@ -1,17 +1,20 @@
 """The fluid-limit rerouting simulator with bulletin-board staleness.
 
-:class:`ReroutingSimulator` integrates the dynamics of Eq. (3): at the start
-of every phase of length ``T`` the bulletin board is refreshed with the live
-edge latencies (and flow shares), and for the duration of the phase the
+:func:`simulate` integrates the dynamics of Eq. (3): at the start of every
+phase of length ``T`` the bulletin board is refreshed with the live edge
+latencies (and flow shares), and for the duration of the phase the
 migration-rate field is computed against that frozen snapshot while the true
 flow keeps moving.  Setting ``stale=False`` runs the up-to-date information
-dynamics of Eq. (1) instead (the board is refreshed at every integration
-step), which is the setting of Theorem 2.
+dynamics of Eq. (1) instead (the field reads the live state at every
+integrator stage), which is the setting of Theorem 2.
 
-The simulator records a :class:`~repro.core.trajectory.Trajectory` with
-per-phase start/end flows, which is exactly the granularity the paper's
-convergence-time statements are about ("the number of update periods not
-starting at an approximate equilibrium").
+A run is a batch of one: :class:`ReroutingSimulator` builds a one-row
+:class:`~repro.batch.engine.BatchConfig`, runs the batched engine and
+returns row 0 as a :class:`~repro.core.trajectory.Trajectory` with per-phase
+start/end flows -- the granularity of the paper's convergence-time
+statements ("the number of update periods not starting at an approximate
+equilibrium").  ``tests/data/simulate_goldens.json`` is the reference these
+runs are checked against.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from ..telemetry.runtime import get_telemetry
+from ..batch.engine import BatchConfig, BatchSimulator
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
-from .bulletin import BulletinBoard, FreshInformationBoard
-from .dynamics import integrate, integration_step_for
 from .policy import ReroutingPolicy
-from .trajectory import PhaseRecord, Trajectory
+from .trajectory import Trajectory
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..scenarios.scenario import Scenario
@@ -78,6 +79,11 @@ class SimulationConfig:
 class ReroutingSimulator:
     """Simulates a rerouting policy on a network in the fluid limit.
 
+    A run is a batch of one: :meth:`run` hands a one-row
+    :class:`~repro.batch.engine.BatchConfig` to the batched engine and
+    returns row 0 as a :class:`Trajectory`, so there is exactly one fluid
+    engine and ``simulate`` and ``simulate_batch`` cannot drift apart.
+
     ``scenario`` optionally makes the environment nonstationary: at every
     phase start the scenario's modulation is sampled and frozen for the
     phase, so the bulletin board posts the *current* environment's latencies
@@ -109,26 +115,6 @@ class ReroutingSimulator:
         it returns ``True`` the run ends early (the final state is still
         recorded).
         """
-        tele = get_telemetry()
-        with tele.span(
-            "engine_run",
-            engine="fluid-scalar",
-            instance=self.network.graph.graph.get("name") or "-",
-            method=self.config.method,
-            stale=self.config.stale,
-            paths=self.network.num_paths,
-        ) as run_span:
-            trajectory = self._run(initial_flow, stop_when, tele)
-            run_span.annotate(phases=len(trajectory.phases))
-        tele.counter("fluid.runs").add()
-        return trajectory
-
-    def _run(
-        self,
-        initial_flow: Optional[FlowVector],
-        stop_when: Optional[StoppingCondition],
-        tele,
-    ) -> Trajectory:
         config = self.config
         network = self.network
         # ``is None``, not truthiness: FlowVector defines __len__, so ``or``
@@ -136,116 +122,24 @@ class ReroutingSimulator:
         flow = FlowVector.uniform(network) if initial_flow is None else initial_flow
         if flow.network is not network:
             raise ValueError("initial flow belongs to a different network")
-        board: BulletinBoard
-        if config.stale:
-            board = BulletinBoard(network, config.update_period)
-        else:
-            board = FreshInformationBoard(network)
-        trajectory = Trajectory(
-            network=network,
-            policy_name=self.policy.label(),
-            update_period=config.update_period if config.stale else 0.0,
+        batch_config = BatchConfig(
+            update_periods=np.array([config.update_period]),
+            horizons=config.horizon,
+            steps_per_phase=config.steps_per_phase,
+            method=config.method,
+            stale=config.stale,
+            record_every=1 if config.record_every_step else None,
         )
-        step = integration_step_for(config.update_period, config.steps_per_phase)
-        scenario = self.scenario
-        time = 0.0
-        if scenario is not None:
-            scenario.require_edges(network)
-            board.network = scenario.network_at(network, time)
-        board.post(time, flow.values())
-        trajectory.record(time, flow, board.phase_index)
+        batch_stop = None
+        if stop_when is not None:
 
-        phases_counter = tele.counter("fluid.phases_integrated")
-        refresh_counter = tele.counter("fluid.bulletin_refreshes")
-        num_phases = int(np.ceil(config.horizon / config.update_period))
-        for phase in range(num_phases):
-            phase_start = phase * config.update_period
-            phase_end = min((phase + 1) * config.update_period, config.horizon)
-            start_flow = flow
-            phase_span = tele.span("phase", index=phase, start=phase_start)
-            with phase_span:
-                if scenario is not None:
-                    phase_network = scenario.network_at(network, phase_start)
-                    board.network = phase_network
-                else:
-                    phase_network = network
-                if config.stale:
-                    # One frozen snapshot for the whole phase: sigma and mu
-                    # are precomputed once instead of once per integrator
-                    # stage (the trajectory is identical bit for bit; see
-                    # ReroutingPolicy.frozen_growth_field).
-                    if board.maybe_update(phase_start, flow.values()):
-                        tele.event("bulletin_refresh", time=phase_start)
-                        refresh_counter.add()
-                    snapshot = board.snapshot
-                    with tele.span("field_eval"):
-                        field = self.policy.frozen_growth_field(
-                            network, snapshot.path_flows, snapshot.path_latencies
-                        )
-                    with tele.span("integrate", state_bytes=flow.values().nbytes):
-                        new_values = self._integrate_phase(
-                            field, flow.values(), phase_start, phase_end, step,
-                            trajectory, phase,
-                        )
-                else:
-                    # Up-to-date information: probabilities follow the live
-                    # state (priced in the phase's frozen environment).
-                    def field(_t: float, state: np.ndarray) -> np.ndarray:
-                        live_latencies = phase_network.path_latencies(state)
-                        return self.policy.growth_rates(network, state, state, live_latencies)
+            def batch_stop(times, flows, _rows):
+                end_flow = FlowVector(network, flows[0], validate=False)
+                return np.array([bool(stop_when(float(times[0]), end_flow))])
 
-                    with tele.span("integrate", state_bytes=flow.values().nbytes):
-                        new_values = self._integrate_phase(
-                            field, flow.values(), phase_start, phase_end, step,
-                            trajectory, phase,
-                        )
-                    board.post(phase_end, new_values)
-                flow = FlowVector(network, new_values, validate=False).projected()
-            phases_counter.add()
-            trajectory.record_phase(
-                PhaseRecord(
-                    index=phase,
-                    start_time=phase_start,
-                    end_time=phase_end,
-                    start_flow=start_flow,
-                    end_flow=flow,
-                )
-            )
-            trajectory.record(phase_end, flow, phase)
-            if stop_when is not None and stop_when(phase_end, flow):
-                tele.event("stop_when_fired", time=phase_end, phase=phase)
-                break
-            if phase_end >= config.horizon:
-                break
-        return trajectory
-
-    def _integrate_phase(
-        self,
-        field,
-        state: np.ndarray,
-        phase_start: float,
-        phase_end: float,
-        step: float,
-        trajectory: Trajectory,
-        phase: int,
-    ) -> np.ndarray:
-        """Integrate one phase, optionally recording every integrator sub-step."""
-        if not self.config.record_every_step:
-            return integrate(field, state, phase_start, phase_end, step, self.config.method)
-        duration = phase_end - phase_start
-        num_steps = max(1, int(np.ceil(duration / step)))
-        sub_step = duration / num_steps
-        current = state
-        for i in range(num_steps):
-            t0 = phase_start + i * sub_step
-            current = integrate(field, current, t0, t0 + sub_step, sub_step, self.config.method)
-            if i + 1 < num_steps:
-                trajectory.record(
-                    t0 + sub_step,
-                    FlowVector(self.network, current, validate=False).projected(),
-                    phase,
-                )
-        return current
+        scenarios = None if self.scenario is None else [self.scenario]
+        simulator = BatchSimulator(network, self.policy, batch_config, scenarios=scenarios)
+        return simulator.run(flow, stop_when=batch_stop).trajectory(0)
 
 
 def simulate(

@@ -114,7 +114,7 @@ def _case_num_agents(case: SweepCase) -> int:
 
 
 def _simulate_case(case: SweepCase) -> Trajectory:
-    """Run one case through the scalar simulator (also the pool worker)."""
+    """Run one case on its own (also the pool worker)."""
     scalar_stop = case.stop_when.scalar(0) if case.stop_when is not None else None
     if case.column_generation:
         # Lazy import: the large-network layer is optional machinery for the

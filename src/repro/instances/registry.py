@@ -94,8 +94,9 @@ def get_instance(name: str) -> WardropNetwork:
         ) from error
     network = factory()
     # Stamp the registry name so engine_run spans, ledger fingerprints and
-    # network reports can identify the instance (TNTP loaders set their own).
-    network.graph.graph.setdefault("name", name)
+    # network reports can identify the instance.  It overrides any name the
+    # factory set: sioux-falls-mini must not report itself as sioux-falls.
+    network.graph.graph["name"] = name
     return network
 
 

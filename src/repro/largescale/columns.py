@@ -365,7 +365,7 @@ def simulate_with_column_generation(
     growth, e.g. one whose migration constant covers the full network) or a
     builder ``network -> policy`` re-invoked after every growth event.
     ``stop_when(time, flow)`` is evaluated at phase boundaries, exactly like
-    the scalar simulator's.
+    ``simulate``'s.
 
     ``scenario`` makes the environment nonstationary (sampled at phase
     starts, like the engines).  A scenario state *change* is treated as an
@@ -439,7 +439,7 @@ def simulate_with_column_generation(
             # The board refreshes on exactly the scalar BulletinBoard's
             # schedule, including the floating-point floor(t/T) quirk that
             # occasionally leaves a snapshot in place for one more phase --
-            # closed-mode runs stay bit-identical to the scalar simulator.
+            # closed-mode runs stay bit-identical to ``simulate``.
             # A scenario state change forces a refresh regardless.
             refresh_time = float(
                 np.floor(phase_start / update_period) * update_period

@@ -24,11 +24,11 @@ equilibrium.  This package supplies that workload class:
   (``morning-peak``, ``braess-closure``, ``sioux-falls-incident``) behind
   the CLI's ``--scenario`` flag.
 
-All engines accept scenarios: the scalar fluid simulator, the finite-agent
-simulator and the batched :class:`~repro.batch.engine.BatchSimulator` (whose
-rows may carry *different* scenarios -- an incident-timing sweep runs as one
-ensemble, each row bit-identical to its scalar counterpart), plus the
-column-generation driver, which re-seeds routes around closures.
+All engines accept scenarios: the fluid
+:class:`~repro.batch.engine.BatchSimulator` (whose rows may carry *different*
+scenarios -- an incident-timing sweep runs as one ensemble, each row
+bit-identical to its one-row ``simulate`` run), the finite-agent simulator,
+and the column-generation driver, which re-seeds routes around closures.
 """
 
 from .incidents import DEFAULT_CLOSURE_PENALTY, IncidentPlan, LinkIncident

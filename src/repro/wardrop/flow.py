@@ -159,8 +159,8 @@ class FlowVector:
         """
         flows = np.clip(np.asarray(path_flows, dtype=float), 0.0, None)
         for i, commodity in enumerate(network.commodities):
-            indices = list(network.paths.commodity_indices(i))
-            block = flows[:, indices]
+            start, stop = network.paths.commodity_slice(i)
+            block = flows[:, start:stop]
             # Each row's routed mass must use the same 1-D pairwise reduction
             # as :meth:`projected` -- ``block.sum(axis=1)`` can accumulate in
             # a different order and land one ulp away, breaking the row-wise
@@ -168,9 +168,9 @@ class FlowVector:
             routed = np.array([row.sum() for row in block])
             starved = routed <= np.finfo(float).tiny
             safe = np.where(starved, 1.0, routed)
-            flows[:, indices] *= (commodity.demand / safe)[:, None]
+            block *= (commodity.demand / safe)[:, None]
             if starved.any():
-                flows[np.ix_(np.flatnonzero(starved), indices)] = commodity.demand / len(indices)
+                block[starved] = commodity.demand / (stop - start)
         return flows
 
     # Raw access ---------------------------------------------------------------

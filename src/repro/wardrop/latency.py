@@ -564,6 +564,11 @@ class PiecewiseLinearLatency(LatencyFunction):
             raise ValueError("latency must be non-negative")
         self.xs = xs
         self.ys = ys
+        # Array copies for value_array; the segment slopes are the same
+        # subtractions and division as _slope, done once.
+        self._xs = np.asarray(xs)
+        self._ys = np.asarray(ys)
+        self._slopes = np.diff(self._ys) / np.diff(self._xs)
 
     def _segment(self, x: float) -> int:
         """Return the index ``i`` such that ``xs[i] <= x <= xs[i+1]``."""
@@ -612,14 +617,13 @@ class PiecewiseLinearLatency(LatencyFunction):
 
     def value_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        xs = np.asarray(self.xs)
-        ys = np.asarray(self.ys)
+        xs = self._xs
         # Mirror `_segment`: the largest i with xs[i] <= x, clipped to a valid
         # segment so values outside [x0, x_last] extrapolate linearly exactly
-        # like the scalar path.
-        idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-        slopes = (ys[idx + 1] - ys[idx]) / (xs[idx + 1] - xs[idx])
-        return ys[idx] + slopes * (x - xs[idx])
+        # like the scalar path.  Counting only the interior breakpoints
+        # yields that clipped index directly.
+        idx = np.searchsorted(xs[1:-1], x, side="right")
+        return self._ys[idx] + self._slopes[idx] * (x - xs[idx])
 
     @classmethod
     def stacked_evaluator(cls, functions):
@@ -632,13 +636,13 @@ class PiecewiseLinearLatency(LatencyFunction):
             # oscillation latency): one searchsorted locates every row's
             # segment at once.
             ys = np.array([f.ys for f in functions])
+            slopes = np.diff(ys, axis=1) / np.diff(xs)
+            interior = xs[1:-1]
 
             def evaluate(x, rows):
                 x = np.asarray(x, dtype=float)
-                idx = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, len(xs) - 2)
-                y_lo = ys[rows, idx]
-                slopes = (ys[rows, idx + 1] - y_lo) / (xs[idx + 1] - xs[idx])
-                return y_lo + slopes * (x - xs[idx])
+                idx = np.searchsorted(interior, x, side="right")
+                return ys[rows, idx] + slopes[rows, idx] * (x - xs[idx])
 
             return evaluate
         # Per-row breakpoint x-coordinates (e.g. a threshold sweep): pad every
@@ -661,7 +665,7 @@ class PiecewiseLinearLatency(LatencyFunction):
             row_xs = padded_xs[rows]
             row_ys = padded_ys[rows]
             counts = (row_xs <= x[:, None]).sum(axis=1)
-            idx = np.clip(counts - 1, 0, last_segment[rows])
+            idx = np.minimum(np.maximum(counts - 1, 0), last_segment[rows])
             at = np.arange(len(idx))
             x_lo = row_xs[at, idx]
             y_lo = row_ys[at, idx]

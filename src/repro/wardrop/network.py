@@ -17,7 +17,18 @@ vectors, the potential, the equilibrium solvers and the rerouting simulator.
 from __future__ import annotations
 
 import copy
-from typing import Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import networkx as nx
 import numpy as np
@@ -28,6 +39,11 @@ from .latency import LatencyFunction
 from .paths import EdgeKey, Path, PathSet, build_path_set
 
 LATENCY_ATTR = "latency"
+
+
+def _single_evaluator(function: LatencyFunction) -> Callable:
+    """The class evaluator of a lone function: its own ``value_array``."""
+    return lambda x, _members: function.value_array(x)
 
 
 class WardropNetwork:
@@ -105,6 +121,14 @@ class WardropNetwork:
         # Per-edge latency replacements of lightweight copies made by
         # `with_latencies`; empty on a directly constructed network.
         self._latency_overrides: Dict[EdgeKey, LatencyFunction] = {}
+        self._latency_plan: Optional[list] = None
+
+    def __getstate__(self) -> dict:
+        # The per-class latency evaluators are closures over this network's
+        # functions: copies (``with_latencies``) and pickles rebuild them.
+        state = self.__dict__.copy()
+        state["_latency_plan"] = None
+        return state
 
     # Construction helpers -------------------------------------------------
 
@@ -310,12 +334,50 @@ class WardropNetwork:
         """Aggregate a ``(B, P)`` batch of path flows to ``(B, E)`` edge flows."""
         return self._inc.edge_flows_batch(path_flows)
 
+    def _latency_classes(self) -> List[Tuple[Union[slice, np.ndarray], np.ndarray, Callable]]:
+        """Group the edges by latency class, one evaluator per class.
+
+        Returns ``(columns, members, evaluate)`` triples: ``evaluate(x, m)``
+        computes ``functions[m[i]].value(x[i])`` for the class's functions in
+        column order (see
+        :meth:`~repro.wardrop.latency.LatencyFunction.stacked_evaluator`),
+        ``members`` is ``0..k-1`` and ``columns`` selects the class's edges
+        (a slice when they are contiguous).  Built once per network.
+        """
+        if self._latency_plan is None:
+            classes: Dict[type, List[int]] = {}
+            for column, edge in enumerate(self._edges):
+                classes.setdefault(type(self.latency_function(edge)), []).append(column)
+            groups = []
+            for kind, columns in classes.items():
+                functions = [self.latency_function(self._edges[c]) for c in columns]
+                evaluate = kind.stacked_evaluator(functions) if len(functions) > 1 else None
+                if evaluate is None:
+                    groups.extend(([c], _single_evaluator(f)) for c, f in zip(columns, functions))
+                else:
+                    groups.append((columns, evaluate))
+            self._latency_plan = [
+                (
+                    slice(columns[0], columns[-1] + 1)
+                    if columns == list(range(columns[0], columns[-1] + 1))
+                    else np.array(columns),
+                    np.arange(len(columns)),
+                    evaluate,
+                )
+                for columns, evaluate in groups
+            ]
+        return self._latency_plan
+
     def edge_latencies_batch(self, edge_flows: np.ndarray) -> np.ndarray:
         """Evaluate every edge latency on a ``(B, E)`` batch of edge flows."""
         edge_flows = np.asarray(edge_flows, dtype=float)
+        batch = edge_flows.shape[0]
         result = np.empty_like(edge_flows)
-        for i, edge in enumerate(self._edges):
-            result[:, i] = self.latency_function(edge).value_array(edge_flows[:, i])
+        for columns, members, evaluate in self._latency_classes():
+            if batch > 1:
+                members = np.tile(members, batch)
+            values = evaluate(edge_flows[:, columns].ravel(), members)
+            result[:, columns] = values.reshape(batch, -1)
         return result
 
     def path_latencies_batch(self, path_flows: np.ndarray) -> np.ndarray:

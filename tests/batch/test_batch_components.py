@@ -26,7 +26,7 @@ from repro.core import (
 )
 from repro.core.dynamics import batch_stepper_for
 from repro.instances import braess_network, pigou_network
-from repro.wardrop import FlowVector
+from repro.wardrop import Commodity, FlowVector, WardropNetwork
 from repro.wardrop.latency import (
     AffineLatency,
     BPRLatency,
@@ -98,6 +98,32 @@ class TestNetworkBatchKernels:
             np.testing.assert_allclose(
                 path_latencies[row], network.path_latencies(flows[row]), atol=1e-15
             )
+
+    def test_edge_latencies_batch_matches_per_edge_values_exactly(self):
+        # Every latency class, several twice with other coefficients; the
+        # parallel links sort so that no class's columns are contiguous.
+        functions = LATENCIES + [
+            LinearLatency(0.5), AffineLatency(1.0, 1.5), ThresholdLatency(beta=2.0),
+            BPRLatency(2.0, 0.5), PiecewiseLinearLatency([(0.0, 0.2), (1.0, 0.9)]),
+        ]
+        network = WardropNetwork.from_edges(
+            [("s", "t", f) for f in functions], [Commodity("s", "t", 1.0)]
+        )
+        edge_flows = np.random.default_rng(5).uniform(0.0, 1.2, size=(3, network.num_edges))
+        expected = np.stack([network.edge_latencies(row) for row in edge_flows])
+        np.testing.assert_array_equal(network.edge_latencies_batch(edge_flows), expected)
+        np.testing.assert_array_equal(network.edge_latencies_batch(edge_flows[:1]), expected[:1])
+
+    def test_edge_latencies_batch_follows_with_latencies_copies(self):
+        network = braess_network()
+        edge_flows = np.full((1, network.num_edges), 0.5)
+        before = network.edge_latencies_batch(edge_flows)
+        copy = network.with_latencies({0: ConstantLatency(7.0)})
+        np.testing.assert_array_equal(
+            copy.edge_latencies_batch(edge_flows)[0], copy.edge_latencies(edge_flows[0])
+        )
+        assert copy.edge_latencies_batch(edge_flows)[0, 0] == 7.0
+        np.testing.assert_array_equal(network.edge_latencies_batch(edge_flows), before)
 
     def test_project_batch_matches_projected(self):
         network = braess_network()

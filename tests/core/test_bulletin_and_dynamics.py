@@ -7,7 +7,6 @@ import pytest
 
 from repro.core import (
     BulletinBoard,
-    FreshInformationBoard,
     euler_step,
     integrate,
     integration_step_for,
@@ -57,12 +56,6 @@ class TestBulletinBoard:
         snapshot = board.post(0.0, flow.values())
         expected = braess.path_latencies(flow.values())
         assert np.allclose(snapshot.path_latencies, expected)
-
-    def test_fresh_board_always_updates(self, two_links):
-        board = FreshInformationBoard(two_links)
-        board.post(0.0, np.array([0.9, 0.1]))
-        assert board.needs_update(1e-9)
-        assert board.phase_start(0.123) == pytest.approx(0.123)
 
 
 class TestIntegrators:

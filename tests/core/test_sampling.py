@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ProportionalSampling, SoftmaxSampling, UniformSampling
+from repro.core import ProportionalSampling, SamplingRule, SoftmaxSampling, UniformSampling
 from repro.wardrop import FlowVector
 
 
@@ -91,3 +91,15 @@ class TestSoftmaxSampling:
         latencies = braess.path_latencies(flows)
         rule = SoftmaxSampling(3.0)
         rule.validate(rule.probabilities(braess, flows, latencies), braess)
+
+
+class TestRuleWithoutKernel:
+    def test_raises_instead_of_recursing(self, braess):
+        class NoKernel(SamplingRule):
+            pass
+
+        flows, latencies = posted_state(braess, np.full(braess.num_paths, 1 / 3))
+        with pytest.raises(NotImplementedError):
+            NoKernel().probabilities(braess, flows, latencies)
+        with pytest.raises(NotImplementedError):
+            NoKernel().probabilities_batch(braess, flows[None], latencies[None])

@@ -154,6 +154,12 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_instance("no-such-instance")
 
+    @pytest.mark.parametrize("name", ["sioux-falls-mini", "city-grid-mini", "city-grid"])
+    def test_instances_report_their_registry_name(self, name):
+        # Their factories name the graph after the full network they are
+        # cut from (sioux-falls, city-grid-4x4, city-grid-16x16).
+        assert get_instance(name).graph.graph["name"] == name
+
     def test_register_and_overwrite_guard(self):
         register_instance("test-custom", lambda: two_link_network(1.5), overwrite=True)
         assert "test-custom" in available_instances()

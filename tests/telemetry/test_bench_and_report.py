@@ -151,7 +151,7 @@ class TestTraceReport:
 
     def test_engine_run_rows_count_phases(self, trace_records):
         (row,) = engine_run_rows(trace_records)
-        assert row["engine"] == "fluid-scalar"
+        assert row["engine"] == "fluid-batch"
         assert row["phases"] == 10
         assert row["seconds"] > 0
         assert row["phases/sec"] > 0
@@ -161,7 +161,7 @@ class TestTraceReport:
         names = {row["span"] for row in rows}
         assert {"phase", "field_eval", "integrate"} <= names
         phase_row = next(row for row in rows if row["span"] == "phase")
-        assert phase_row["engine"] == "fluid-scalar"
+        assert phase_row["engine"] == "fluid-batch"
         assert phase_row["count"] == 10
         assert 0 < phase_row["share"] <= 1.0
         # Nested spans never exceed their engine's wall time.
@@ -169,7 +169,7 @@ class TestTraceReport:
 
     def test_metrics_and_event_rows(self, trace_records):
         metrics = {row["metric"]: row for row in metrics_rows(trace_records)}
-        assert metrics["fluid.phases_integrated"]["value"] == 10
+        assert metrics["batch.phases_integrated"]["value"] == 10
         events = {row["event"]: row["count"] for row in event_rows(trace_records)}
         assert events["bulletin_refresh"] >= 1
 
