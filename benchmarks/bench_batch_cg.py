@@ -15,10 +15,10 @@ benchmark verifies three things:
   driver does not merely run, it documents per row that it settled at a
   Wardrop equilibrium of the full 960-link network,
 * **exactness** -- on the grown-and-frozen (closed) path set, batched CG
-  rows are bit-identical to the scalar
-  :func:`~repro.largescale.columns.simulate_with_column_generation` driver,
+  rows are bit-identical to the one-row runs of
+  :func:`~repro.largescale.columns.simulate_with_column_generation`,
 * **throughput** -- the single batched call clearly outruns the equivalent
-  loop of scalar column-generation runs.
+  loop of one-row column-generation runs.
 
 Each row's final gap is emitted as a ``repro-bench/1`` record carrying
 ``method="cg-rowNN"`` and ``gap``, so ``repro report --bench`` renders the
@@ -140,33 +140,34 @@ def run_benchmark(smoke: bool = False, scalar_rows: Optional[int] = None) -> dic
             }
         )
 
-    # --- scalar counterpart loop (open mode, per-row independent growth) ---
+    # --- one-row counterpart loop (open mode, per-row independent growth) --
     with bench_timer(
-        "bench_batch_cg", "E12 scalar CG loop",
-        engine="cg-scalar", instance=instance_label, cases=scalar_rows,
-    ) as scalar_timer:
-        scalar_gaps = []
+        "bench_batch_cg", "E12 one-row batch loop",
+        engine="cg-batch", instance=instance_label, cases=scalar_rows,
+    ) as loop_timer:
+        loop_gaps = []
         for row in range(scalar_rows):
-            scalar_result = simulate_with_column_generation(
+            single = simulate_with_column_generation(
                 ActivePathSet.from_network(network), policy,
                 update_period=period, horizon=horizon,
                 scenario=scenarios[row], stale=True,
                 steps_per_phase=steps,
             )
-            final_net = scalar_result.network
+            final_net = single.network
             full_flows = oracle.expand_edge_values(
-                final_net, final_net.edge_flows(scalar_result.final_flow.values())
+                final_net, final_net.edge_flows(single.final_flow.values())
             )
-            scalar_gaps.append(
+            loop_gaps.append(
                 relative_duality_gap(
                     scenarios[row].network_at(final_net, horizon), oracle, full_flows
                 )
             )
-    scalar_seconds = scalar_timer.seconds
-    scalar_seconds_full = scalar_seconds * batch / scalar_rows
-    speedup = scalar_seconds_full / batched_seconds
+    loop_seconds = loop_timer.seconds
+    loop_seconds_full = loop_seconds * batch / scalar_rows
+    speedup = loop_seconds_full / batched_seconds
 
-    # --- exactness: closed (grown-and-frozen) batched CG is bit-identical --
+    # --- exactness: closed (grown-and-frozen) batched CG rows are
+    # bit-identical to their one-row runs ----------------------------------
     frozen = ActivePathSet.from_network(result.network, closed=True)
     check_rows = min(scalar_rows, 3)
     with bench_timer(
@@ -181,17 +182,17 @@ def run_benchmark(smoke: bool = False, scalar_rows: Optional[int] = None) -> dic
         )
         exact = True
         for row in range(check_rows):
-            scalar_closed = simulate_with_column_generation(
+            single_closed = simulate_with_column_generation(
                 ActivePathSet.from_network(result.network, closed=True), policy,
                 update_period=period, horizon=horizon,
                 scenario=scenarios[row], stale=True,
                 steps_per_phase=steps,
             )
-            scalar_matrix = np.array(
-                [point.flow.values() for point in scalar_closed.trajectory.points]
+            single_matrix = np.array(
+                [point.flow.values() for point in single_closed.trajectory.points]
             )
             exact = exact and np.array_equal(
-                scalar_matrix, closed_result.flow_matrix(row)
+                single_matrix, closed_result.flow_matrix(row)
             )
 
     rows = [
@@ -223,10 +224,10 @@ def run_benchmark(smoke: bool = False, scalar_rows: Optional[int] = None) -> dic
         "certified_rows": int((gaps <= GAP_TARGET).sum()),
         "bit_identical_closed": exact,
         "closed_rows_checked": check_rows,
-        "scalar_rows_measured": scalar_rows,
-        "scalar_gaps": [float(g) for g in scalar_gaps],
+        "loop_rows_measured": scalar_rows,
+        "loop_gaps": [float(g) for g in loop_gaps],
         "batched_seconds": round(batched_seconds, 2),
-        "scalar_seconds_full": round(scalar_seconds_full, 2),
+        "loop_seconds_full": round(loop_seconds_full, 2),
         "speedup": round(speedup, 1),
     }
     print(
@@ -241,8 +242,8 @@ def run_benchmark(smoke: bool = False, scalar_rows: Optional[int] = None) -> dic
         f"closed-mode bit-identical rows: {'yes' if exact else 'NO'}"
     )
     print(
-        f"scalar CG loop ({scalar_rows} rows measured): {scalar_seconds:.2f}s "
-        f"(~{scalar_seconds_full:.2f}s for all {batch}) -> {speedup:.1f}x"
+        f"one-row batch loop ({scalar_rows} rows measured): {loop_seconds:.2f}s "
+        f"(~{loop_seconds_full:.2f}s for all {batch}) -> {speedup:.1f}x"
     )
     return summary
 
@@ -267,7 +268,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--scalar-rows",
         type=int,
         default=None,
-        help="measure only this many scalar counterpart rows (extrapolated)",
+        help="measure only this many one-row counterpart runs (extrapolated)",
     )
     parser.add_argument(
         "--trace",

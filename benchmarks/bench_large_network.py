@@ -120,7 +120,7 @@ def run_benchmark(smoke: bool = False) -> List[dict]:
 
             with bench_timer(
                 "bench_large_network", f"CG {policy_name} T={period:g}",
-                engine="column-generation", instance=instance,
+                engine="column-generation-batch", instance=instance,
             ) as cg_timer:
                 result = simulate_with_column_generation(
                     ActivePathSet.from_network(build_instance()),

@@ -77,10 +77,11 @@ class SweepCase:
     rows grow a shared union path set, so pass ``engine="serial"`` when
     per-row discovery sets must stay independent (closed-mode fusions stay
     bit-identical per row).  CG cases reject ``initial_flow`` and
-    ``stop_when`` (both are authored for the case network's fixed path
-    dimension; pass a scalar ``stop_when`` to
+    ``stop_when`` with the same error on every backend (both are authored
+    for the case network's fixed path dimension; pass a scalar
+    ``stop_when`` to
     :func:`~repro.largescale.columns.simulate_with_column_generation`
-    directly instead) and run serially so those errors surface.
+    directly instead).
 
     ``scenario`` makes the case's environment nonstationary (see
     :mod:`repro.scenarios`).  Scenarios ride along per row: same-topology

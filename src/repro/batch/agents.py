@@ -49,7 +49,14 @@ from ..wardrop.family import NetworkFamily
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
 from .board import BatchBulletinBoard
-from .engine import BatchEnsembleBase, BatchStoppingCondition, Networks, Policies
+from .engine import (
+    BatchEnsembleBase,
+    BatchStoppingCondition,
+    Networks,
+    Policies,
+    initial_flow_rows,
+    policy_tables,
+)
 
 
 @dataclass
@@ -290,7 +297,7 @@ class BatchAgentSimulator(BatchEnsembleBase):
         total_agents = int(offsets[-1])
         assignment = np.empty(total_agents, dtype=np.int64)
         weights = np.empty(total_agents, dtype=float)
-        initial_values = self._initial_flows(initial_flows)
+        initial_values = initial_flow_rows(network, batch, initial_flows, self.family)
         for row in range(batch):
             row_assignment, row_weights = build_population(
                 network, int(populations[row]), initial_values[row]
@@ -391,8 +398,12 @@ class BatchAgentSimulator(BatchEnsembleBase):
 
             if config.stale:
                 with tele.span("field_eval", active_rows=len(rows)):
-                    sigma, mu = self._policy_tables(
-                        board.posted_flows[rows], board.posted_path_latencies[rows], rows
+                    sigma, mu = policy_tables(
+                        network,
+                        self._field_policies,
+                        board.posted_flows[rows],
+                        board.posted_path_latencies[rows],
+                        rows,
                     )
                     cdf, valid = sampling_tables(sigma, layout)
                 self._apply_stale_phase(
@@ -565,7 +576,9 @@ class BatchAgentSimulator(BatchEnsembleBase):
             if len(refresh):
                 state = flows_live[refresh]
                 latencies = self._path_latencies_rows(state, refresh)
-                sigma, mu = self._policy_tables(state, latencies, refresh)
+                sigma, mu = policy_tables(
+                    self.network, self._field_policies, state, latencies, refresh
+                )
                 cdf, valid = sampling_tables(sigma, layout)
                 cdf_cache[refresh] = cdf
                 valid_cache[refresh] = valid

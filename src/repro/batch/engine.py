@@ -239,17 +239,158 @@ class BatchResult:
         return [self.trajectory(row) for row in range(self.batch_size)]
 
 
+def initial_flow_rows(
+    network: WardropNetwork,
+    batch: int,
+    initial_flows,
+    family: Optional[NetworkFamily] = None,
+) -> np.ndarray:
+    """Return the validated ``(B, P)`` start states of a batched run.
+
+    ``initial_flows`` may be ``None`` (uniform split for every row), a
+    single :class:`FlowVector` (shared start), a sequence of ``B`` flow
+    vectors or a raw ``(B, P)`` array.  A flow vector must belong to
+    ``network`` or, for family batches, to its row's member.
+    """
+
+    def is_row_network(candidate: WardropNetwork, row: int) -> bool:
+        if candidate is network:
+            return True
+        return family is not None and candidate is family.networks[row]
+
+    if initial_flows is None:
+        return np.tile(FlowVector.uniform(network).values(), (batch, 1))
+    if isinstance(initial_flows, FlowVector):
+        if not is_row_network(initial_flows.network, 0):
+            raise ValueError("initial flow belongs to a different network")
+        return np.tile(initial_flows.values(), (batch, 1))
+    if isinstance(initial_flows, np.ndarray):
+        flows = np.asarray(initial_flows, dtype=float)
+        if flows.shape != (batch, network.num_paths):
+            raise ValueError(
+                f"initial flows have shape {flows.shape}, expected "
+                f"({batch}, {network.num_paths})"
+            )
+        return flows.copy()
+    vectors = list(initial_flows)
+    if len(vectors) != batch:
+        raise ValueError(f"got {len(vectors)} initial flows for a batch of {batch}")
+    for row, vector in enumerate(vectors):
+        if not is_row_network(vector.network, row):
+            raise ValueError("initial flow belongs to a different network")
+    return FlowVector.stack(vectors)
+
+
+# Field kernels ---------------------------------------------------------------
+#
+# Every batched engine -- the fluid BatchSimulator, the finite-population
+# BatchAgentSimulator and batched column generation -- assembles its
+# sampling/migration tables and rate fields here.  ``policies`` is either one
+# ReroutingPolicy shared by every row (the fully vectorised kernels) or the
+# per-row list (tables assembled row by row, so custom sampling/migration
+# rules keep working); ``rows`` are the batch indices of the rows passed in.
+
+
+def policy_tables(
+    network: WardropNetwork,
+    policies: Policies,
+    posted_flows: np.ndarray,
+    posted_latencies: np.ndarray,
+    rows: np.ndarray,
+):
+    """Return the stacked ``(sigma, mu)`` matrices of the given rows."""
+    if isinstance(policies, ReroutingPolicy):
+        sigma = policies.sampling.probabilities_batch(network, posted_flows, posted_latencies)
+        mu = policies.migration.matrix_batch(posted_latencies)
+        return sigma, mu
+    sigma = np.stack(
+        [
+            policies[row].sampling.probabilities(network, posted_flows[i], posted_latencies[i])
+            for i, row in enumerate(rows)
+        ]
+    )
+    mu = np.stack(
+        [policies[row].migration.matrix(posted_latencies[i]) for i, row in enumerate(rows)]
+    )
+    return sigma, mu
+
+
+def stale_rates(
+    network: WardropNetwork,
+    policies: Policies,
+    posted_flows: np.ndarray,
+    posted_latencies: np.ndarray,
+    rows: np.ndarray,
+):
+    """Return the field closure of one stale phase of the given rows.
+
+    Within a phase the sampling and migration matrices depend only on the
+    posted snapshot, so they are assembled once per phase instead of once
+    per integrator stage, with the same values.
+    """
+    sigma, mu = policy_tables(network, policies, posted_flows, posted_latencies, rows)
+    # Same folded form as ReroutingPolicy.growth_rates (one product + one
+    # reduction per stage).
+    rates = sigma * mu
+    outflow_rates = rates.sum(axis=2)
+    if len(rows) == 1:
+        # One row: the same dot products as a plain (1, P) @ (P, P)
+        # product, without the stacked-matmul broadcasting per stage.
+        single = rates[0]
+
+        def field(_t, state: np.ndarray) -> np.ndarray:
+            return np.matmul(state, single) - state * outflow_rates
+
+    else:
+
+        def field(_t, state: np.ndarray) -> np.ndarray:
+            inflow = np.matmul(state[:, None, :], rates)[:, 0, :]
+            return inflow - state * outflow_rates
+
+    return field
+
+
+def fresh_rates(
+    network: WardropNetwork,
+    policies: Policies,
+    live_latencies: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    rows: np.ndarray,
+):
+    """Return the up-to-date-information field of the given rows.
+
+    ``live_latencies(state, rows)`` prices the rows' current flows in their
+    current environment.
+    """
+    if isinstance(policies, ReroutingPolicy):
+
+        def field(_t, state: np.ndarray) -> np.ndarray:
+            latencies = live_latencies(state, rows)
+            return policies.growth_rates_batch(network, state, state, latencies)
+
+    else:
+
+        def field(_t, state: np.ndarray) -> np.ndarray:
+            latencies = live_latencies(state, rows)
+            return np.stack(
+                [
+                    policies[row].growth_rates(network, state[i], state[i], latencies[i])
+                    for i, row in enumerate(rows)
+                ]
+            )
+
+    return field
+
+
 class BatchEnsembleBase:
-    """Shared network/policy/initial-state plumbing of the batched engines.
+    """Shared network/policy plumbing of the batched engines.
 
     Normalises the ``network`` argument (shared network vs
-    :class:`~repro.wardrop.family.NetworkFamily` of the batch size), the
+    :class:`~repro.wardrop.family.NetworkFamily` of the batch size) and the
     ``policies`` argument (one shared policy for the fully vectorised kernels
-    vs a per-row list using the row-loop fallback) and the ``initial_flows``
-    argument, and provides family-aware live latency evaluation.  Both the
-    fluid :class:`BatchSimulator` and the finite-population
-    :class:`~repro.batch.agents.BatchAgentSimulator` build on it, so
-    validation fixes apply to both engines at once.
+    vs a per-row list using the row-loop fallback) and provides family-aware
+    live latency evaluation.  Both the fluid :class:`BatchSimulator` and the
+    finite-population :class:`~repro.batch.agents.BatchAgentSimulator` build
+    on it, so validation fixes apply to both engines at once.
     """
 
     def __init__(self, network: Networks, policies: Policies, batch_size: int):
@@ -263,13 +404,11 @@ class BatchEnsembleBase:
         else:
             self.family = None
             self.network = network
-        self._batch_size = batch_size
         # Scenario runs point this at the current phase's effective family;
         # live (fresh-information) latency evaluation then prices flows in
         # each row's current environment.
         self._phase_family: Optional[NetworkFamily] = None
         if isinstance(policies, ReroutingPolicy):
-            self._shared_policy: Optional[ReroutingPolicy] = policies
             self._policies: List[ReroutingPolicy] = [policies] * batch_size
         else:
             policies = list(policies)
@@ -277,44 +416,10 @@ class BatchEnsembleBase:
                 raise ValueError(
                     f"got {len(policies)} policies for a batch of {batch_size}"
                 )
-            self._shared_policy = policies[0] if len(set(map(id, policies))) == 1 else None
             self._policies = policies
-
-    # Initial states ---------------------------------------------------------
-
-    def _is_row_network(self, candidate: WardropNetwork, row: int) -> bool:
-        """True if ``candidate`` is a legal network for batch row ``row``."""
-        if candidate is self.network:
-            return True
-        return self.family is not None and candidate is self.family.networks[row]
-
-    def _initial_flows(self, initial_flows) -> np.ndarray:
-        batch = self._batch_size
-        network = self.network
-        if initial_flows is None:
-            uniform = FlowVector.uniform(network).values()
-            return np.tile(uniform, (batch, 1))
-        if isinstance(initial_flows, FlowVector):
-            if not self._is_row_network(initial_flows.network, 0):
-                raise ValueError("initial flow belongs to a different network")
-            return np.tile(initial_flows.values(), (batch, 1))
-        if isinstance(initial_flows, np.ndarray):
-            flows = np.asarray(initial_flows, dtype=float)
-            if flows.shape != (batch, network.num_paths):
-                raise ValueError(
-                    f"initial flows have shape {flows.shape}, expected "
-                    f"({batch}, {network.num_paths})"
-                )
-            return flows.copy()
-        vectors = list(initial_flows)
-        if len(vectors) != batch:
-            raise ValueError(f"got {len(vectors)} initial flows for a batch of {batch}")
-        for row, vector in enumerate(vectors):
-            if not self._is_row_network(vector.network, row):
-                raise ValueError("initial flow belongs to a different network")
-        return FlowVector.stack(vectors)
-
-    # Latency evaluation ------------------------------------------------------
+        # What the field kernels take: the shared policy, or the per-row list.
+        shared = len(set(map(id, self._policies))) == 1
+        self._field_policies: Policies = self._policies[0] if shared else self._policies
 
     def _path_latencies_rows(self, state: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Live path latencies of the active sub-batch (family/scenario-aware)."""
@@ -323,37 +428,6 @@ class BatchEnsembleBase:
         if self.family is None:
             return self.network.path_latencies_batch(state)
         return self.family.path_latencies_batch(state, rows)
-
-    # Policy tables -----------------------------------------------------------
-
-    def _policy_tables(self, posted_flows: np.ndarray, posted_latencies: np.ndarray, rows: np.ndarray):
-        """Return the stacked ``(sigma, mu)`` matrices of the given rows.
-
-        A shared policy uses the fully vectorised batch kernels; per-row
-        policies fall back to assembling the matrices row by row, so custom
-        sampling/migration rules keep working in both batched engines.
-        """
-        network = self.network
-        if self._shared_policy is not None:
-            policy = self._shared_policy
-            sigma = policy.sampling.probabilities_batch(network, posted_flows, posted_latencies)
-            mu = policy.migration.matrix_batch(posted_latencies)
-        else:
-            sigma = np.stack(
-                [
-                    self._policies[row].sampling.probabilities(
-                        network, posted_flows[i], posted_latencies[i]
-                    )
-                    for i, row in enumerate(rows)
-                ]
-            )
-            mu = np.stack(
-                [
-                    self._policies[row].migration.matrix(posted_latencies[i])
-                    for i, row in enumerate(rows)
-                ]
-            )
-        return sigma, mu
 
 
 class BatchSimulator(BatchEnsembleBase):
@@ -417,62 +491,6 @@ class BatchSimulator(BatchEnsembleBase):
             return None
         return scenarios
 
-    def _stale_rates(self, board: BatchBulletinBoard, rows: np.ndarray):
-        """Return a field closure for one stale phase of the active rows.
-
-        Within a phase the sampling and migration matrices depend only on the
-        posted snapshot, so they are assembled once per phase (for the active
-        sub-batch only — frozen rows skip this work entirely) instead of once
-        per integrator stage, with the same values.
-        """
-        sigma, mu = self._policy_tables(
-            board.posted_flows[rows], board.posted_path_latencies[rows], rows
-        )
-        # Same folded form as ReroutingPolicy.growth_rates/frozen_growth_field
-        # (one product + one reduction per stage).
-        rates = sigma * mu
-        outflow_rates = rates.sum(axis=2)
-        if len(rows) == 1:
-            # One row: the same dot products as a plain (1, P) @ (P, P)
-            # product, without the stacked-matmul broadcasting per stage.
-            single = rates[0]
-
-            def field(_t, state: np.ndarray) -> np.ndarray:
-                return np.matmul(state, single) - state * outflow_rates
-
-        else:
-
-            def field(_t, state: np.ndarray) -> np.ndarray:
-                inflow = np.matmul(state[:, None, :], rates)[:, 0, :]
-                return inflow - state * outflow_rates
-
-        return field
-
-    def _fresh_rates(self, rows: np.ndarray):
-        """Return the up-to-date-information field for the active rows."""
-        network = self.network
-        if self._shared_policy is not None:
-            policy = self._shared_policy
-
-            def field(_t, state: np.ndarray) -> np.ndarray:
-                live_latencies = self._path_latencies_rows(state, rows)
-                return policy.growth_rates_batch(network, state, state, live_latencies)
-
-        else:
-
-            def field(_t, state: np.ndarray) -> np.ndarray:
-                live_latencies = self._path_latencies_rows(state, rows)
-                return np.stack(
-                    [
-                        self._policies[row].growth_rates(
-                            network, state[i], state[i], live_latencies[i]
-                        )
-                        for i, row in enumerate(rows)
-                    ]
-                )
-
-        return field
-
     # Main loop --------------------------------------------------------------
 
     def run(
@@ -499,7 +517,7 @@ class BatchSimulator(BatchEnsembleBase):
         batch = config.batch_size
         periods = config.update_periods
         horizons = config.horizons
-        flows = self._initial_flows(initial_flows)
+        flows = initial_flow_rows(network, batch, initial_flows, self.family)
         stepper = batch_stepper_for(config.method)
         record_every = config.record_every
         dense = record_every is not None
@@ -575,6 +593,9 @@ class BatchSimulator(BatchEnsembleBase):
                     board.set_networks(self._phase_family)
 
             phase_span = tele.span("phase", index=phase, active_rows=len(rows))
+            # Drop the previous phase's field first, so its (B, P, P) rate
+            # table is freed before the next one is assembled.
+            field = None
             if config.stale:
                 if phase > 0:
                     # Refresh by the board's floor(t / T) rule: rounding
@@ -586,9 +607,17 @@ class BatchSimulator(BatchEnsembleBase):
                         tele.event("bulletin_refresh", rows=int(due.sum()))
                         refresh_counter.add(int(due.sum()))
                 with tele.span("field_eval", active_rows=len(rows)):
-                    field = self._stale_rates(board, rows)
+                    field = stale_rates(
+                        network,
+                        self._field_policies,
+                        board.posted_flows[rows],
+                        board.posted_path_latencies[rows],
+                        rows,
+                    )
             else:
-                field = self._fresh_rates(rows)
+                field = fresh_rates(
+                    network, self._field_policies, self._path_latencies_rows, rows
+                )
 
             # Same sub-step count as integrate(): ceil(duration / max_step).
             num_steps = np.maximum(1, np.ceil(durations / max_steps[rows])).astype(int)

@@ -16,10 +16,12 @@ classical Runge--Kutta 4).  The growth rates sum to zero within every
 commodity by construction, so demand feasibility is preserved exactly; tiny
 negative flows from discretisation are clipped at phase boundaries.
 
-The fluid engine (:mod:`repro.batch.engine`, which ``simulate`` runs as a
-batch of one) uses the batched steppers.  The scalar steppers and
-:func:`integrate` serve only scalar column generation
-(:mod:`repro.largescale.columns`).
+Every engine -- the fluid engine (:mod:`repro.batch.engine`, which
+``simulate`` runs as a batch of one) and column generation
+(:mod:`repro.largescale.batch_columns`, which
+``simulate_with_column_generation`` runs as a batch of one) -- integrates
+with the batched steppers.  The scalar steppers and :func:`integrate` are
+kept as the plain reference the tests integrate against.
 """
 
 from __future__ import annotations

@@ -103,42 +103,16 @@ class ReroutingPolicy:
         The implementation folds ``sigma * mu`` into one transition-rate
         matrix ``M`` and factors the current flow out of the outflow sum
         (``sum_Q rho_PQ = f_P * sum_Q M_PQ``): one elementwise product and
-        one reduction per evaluation instead of two of each.  The batched
-        kernels and the frozen phase field perform the identical operation
-        sequence, so all engines keep agreeing bit for bit.
+        one reduction per evaluation instead of two of each.  The field
+        kernels of :mod:`repro.batch.engine`, which every engine integrates
+        through, perform the same operation sequence row by row (their
+        fresh field calls this method directly for per-row policies).
         """
         sigma = self.sampling.probabilities(network, posted_flows, posted_path_latencies)
         mu = self.migration.matrix(posted_path_latencies)
         rates = sigma * mu
         inflow = np.matmul(current_flows[None, :], rates)[0]
         return inflow - current_flows * rates.sum(axis=1)
-
-    def frozen_growth_field(
-        self,
-        network: WardropNetwork,
-        posted_flows: np.ndarray,
-        posted_path_latencies: np.ndarray,
-    ):
-        """Return ``field(t, state)`` with sigma and mu precomputed once.
-
-        Within a stale bulletin-board phase the sampling matrix and migration
-        probabilities depend only on the posted snapshot, so the combined
-        transition-rate matrix (and its outflow row sums) are assembled once
-        per phase instead of once per integrator stage.  The returned closure
-        performs exactly the arithmetic of :meth:`growth_rates` on the
-        precomputed matrices.  Scalar column generation uses it; the fluid
-        engine builds the same field for a whole batch of rows.
-        """
-        sigma = self.sampling.probabilities(network, posted_flows, posted_path_latencies)
-        mu = self.migration.matrix(posted_path_latencies)
-        rates = sigma * mu
-        outflow_rates = rates.sum(axis=1)
-
-        def field(_time: float, state: np.ndarray) -> np.ndarray:
-            inflow = np.matmul(state[None, :], rates)[0]
-            return inflow - state * outflow_rates
-
-        return field
 
     def growth_rates_batch(
         self,

@@ -17,13 +17,15 @@ cases, the cheapest execution backend:
   (Linux/macOS default here) workers build the result *rows* in-process and
   return plain dicts, so big sweeps never pickle whole trajectories back to
   the parent; without fork the runner falls back to shipping trajectories;
-* **serial** — the original one-case-at-a-time loop, always available as the
-  reference backend.
+* **serial** — one case at a time, which means groups of one: fluid and
+  column-generation cases are one-row runs of the batched engines
+  (``simulate``, ``simulate_with_column_generation``); agent cases still
+  run on the scalar agent engine.
 
 ``engine="auto"`` batches every multi-case group and runs the remainder
 serially (or on a pool when ``processes > 1`` is requested).  Whatever the
 backend, rows are emitted in the original case order and each case's
-trajectory is identical to a scalar run, so results never depend on the
+trajectory is identical to its one-case run, so results never depend on the
 dispatch decision — with one documented exception: *open-mode*
 column-generation cases fused onto the batched CG driver grow a shared
 (union) restricted path set, so a fused row can route over columns another
@@ -74,32 +76,22 @@ def group_key(case: SweepCase) -> GroupKey:
     shared restricted path set) and the same update period, horizon and
     steps-per-phase (the batched driver runs one global phase grid).  Only
     policies and scenarios vary per fused CG row.  The ``serial_only`` flag
-    (element 3) marks the cases that still run on the scalar path: CG cases
-    with an initial flow, a stop condition or the agents method (so the
-    scalar driver's informative errors surface), and agent-method cases
-    carrying a scenario (they need the scalar agent engine).
+    (element 3) marks agent-method cases carrying a scenario: they need the
+    scalar agent engine.
     """
     cg_signature: Optional[Tuple] = None
     if case.column_generation:
-        serial_only = (
-            case.method == "agents"
-            or case.initial_flow is not None
-            or case.stop_when is not None
+        cg_signature = (
+            id(case.network),
+            case.update_period,
+            case.horizon,
+            case.steps_per_phase,
         )
-        if not serial_only:
-            cg_signature = (
-                id(case.network),
-                case.update_period,
-                case.horizon,
-                case.steps_per_phase,
-            )
-    else:
-        serial_only = case.method == "agents" and case.scenario is not None
     return (
         topology_signature(case.network),
         case.stale,
         case.method,
-        serial_only,
+        case.method == "agents" and case.scenario is not None,
         cg_signature,
     )
 
@@ -115,38 +107,9 @@ def _case_num_agents(case: SweepCase) -> int:
 
 def _simulate_case(case: SweepCase) -> Trajectory:
     """Run one case on its own (also the pool worker)."""
-    scalar_stop = case.stop_when.scalar(0) if case.stop_when is not None else None
     if case.column_generation:
-        # Lazy import: the large-network layer is optional machinery for the
-        # runner and pulls in the shortest-path oracle stack.
-        from ..largescale.columns import ActivePathSet, simulate_with_column_generation
-
-        if case.method == "agents":
-            raise ValueError("column generation supports fluid methods only")
-        if case.initial_flow is not None:
-            raise ValueError(
-                "column-generation cases start from the uniform split on their "
-                "seed paths; initial_flow cannot be mapped onto the grown set"
-            )
-        if case.stop_when is not None:
-            raise ValueError(
-                "SweepCase.stop_when conditions are authored for the case "
-                "network's fixed path dimension; a column-generation run's "
-                "restricted path set grows mid-run, so pass a scalar "
-                "stop_when to simulate_with_column_generation directly "
-                "(it receives the flow on the current restricted network)"
-            )
-        result = simulate_with_column_generation(
-            ActivePathSet.from_network(case.network),
-            case.policy,
-            update_period=case.update_period,
-            horizon=case.horizon,
-            stale=case.stale,
-            steps_per_phase=case.steps_per_phase,
-            method=case.method,
-            scenario=case.scenario,
-        )
-        return result.trajectory
+        return _run_batch_cg_group([case])[0]
+    scalar_stop = case.stop_when.scalar(0) if case.stop_when is not None else None
     if case.method == "agents":
         config = AgentSimulationConfig(
             num_agents=_case_num_agents(case),
@@ -254,16 +217,35 @@ def _run_batch_cg_group(cases: Sequence[SweepCase]) -> List[Trajectory]:
 
     The group key guarantees the cases share one network object, update
     period, horizon, steps-per-phase, information model and method; policies
-    and scenarios ride along per row.  Closed-mode rows are bit-identical to
-    the scalar driver.  **Open-mode rows are not**: fused rows grow one
-    shared (union) restricted path set, so a row can discover columns
-    another row's snapshot surfaced — this is the one documented departure
-    from "results never depend on the dispatch decision" (force
-    ``engine="serial"`` to keep per-row discovery sets independent).
+    and scenarios ride along per row.  Serial CG cases run here as groups of
+    one.  Closed-mode rows are bit-identical to their one-case runs.
+    **Open-mode rows are not**: fused rows grow one shared (union)
+    restricted path set, so a row can discover columns another row's
+    snapshot surfaced — this is the one documented departure from "results
+    never depend on the dispatch decision" (force ``engine="serial"`` to
+    keep per-row discovery sets independent).
     """
+    # Lazy import: the large-network layer is optional machinery for the
+    # runner and pulls in the shortest-path oracle stack.
     from ..largescale.batch_columns import simulate_with_column_generation_batch
     from ..largescale.columns import ActivePathSet
 
+    for case in cases:
+        if case.method == "agents":
+            raise ValueError("column generation supports fluid methods only")
+        if case.initial_flow is not None:
+            raise ValueError(
+                "column-generation cases start from the uniform split on their "
+                "seed paths; initial_flow cannot be mapped onto the grown set"
+            )
+        if case.stop_when is not None:
+            raise ValueError(
+                "SweepCase.stop_when conditions are authored for the case "
+                "network's fixed path dimension; a column-generation run's "
+                "restricted path set grows mid-run, so pass a scalar "
+                "stop_when to simulate_with_column_generation directly "
+                "(it receives the flow on the current restricted network)"
+            )
     first = cases[0]
     scenarios = [case.scenario for case in cases]
     result = simulate_with_column_generation_batch(
@@ -422,10 +404,7 @@ def _dispatch_rows(
     leftovers: List[int] = []
     for key, indices in groups.items():
         if key[3]:
-            # Serial-only cases: CG cases whose configuration the batched CG
-            # driver rejects (initial flow, stop condition, agents method)
-            # run scalar so the scalar driver's informative errors surface,
-            # and scenario-carrying agent cases need the scalar agent engine.
+            # Scenario-carrying agent cases need the scalar agent engine.
             leftovers.extend(indices)
         elif engine == "batch" or len(indices) > 1:
             tele.event(

@@ -13,12 +13,12 @@ networks where exhaustively enumerating the path sets is impossible:
 * :mod:`~repro.largescale.columns` -- :class:`ActivePathSet`, a restricted
   path set that grows by shortest-path column generation at bulletin-board
   refreshes (matching the paper's information model: agents can only
-  discover routes when the board updates), and the column-generation
-  simulator driving the rerouting dynamics on it,
-* :mod:`~repro.largescale.batch_columns` -- the batched driver running B
-  same-topology column-generation replicas as one padded ``(B, P)``
-  ensemble against a shared oracle (union growth, per-row eviction and
-  per-row duality-gap certificates).
+  discover routes when the board updates), and
+  ``simulate_with_column_generation``, the one-row run of the driver below,
+* :mod:`~repro.largescale.batch_columns` -- the column-generation driver,
+  running B same-topology replicas as one padded ``(B, P)`` ensemble
+  against a shared oracle (union growth, per-row eviction and per-row
+  duality-gap certificates).
 
 The TNTP instance loader lives in :mod:`repro.instances.tntp` and the
 edge-flow Frank--Wolfe solver in :mod:`repro.solvers.edge_frank_wolfe`;

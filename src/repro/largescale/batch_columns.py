@@ -1,57 +1,63 @@
-"""Batched column generation: B same-topology replicas, one shared oracle.
+"""Column generation: B same-topology replicas, one shared oracle.
 
-The scalar driver in :mod:`repro.largescale.columns` grows its restricted
-path set mid-run, which is why the experiment runner historically marked
-column-generation cases ``serial_only`` -- a ``(B, P)`` ensemble cannot be
-stacked when ``P`` changes under it.  This module fixes that structurally:
-path-flow state is padded to a capacity and *grown in place*.  One shared
-:class:`~repro.largescale.columns.ActivePathSet` (and therefore one shared
-:class:`~repro.largescale.shortest.ShortestPathOracle`) serves all ``B``
-rows; at a bulletin refresh every refreshing row queries the oracle against
-its own posted snapshot (priced in its own scenario's effective network via
-the PR-5 :class:`~repro.scenarios.scenario.ScenarioEnsemble` stacks), and
-the restricted set grows by the **union** of the per-row discoveries.  A new
+This is the only column-generation driver;
+:func:`~repro.largescale.columns.simulate_with_column_generation` runs it as
+a batch of one.  Path-flow state is padded to a capacity and *grown in
+place* -- a ``(B, P)`` ensemble can be stacked even though ``P`` changes
+under it.  One shared :class:`~repro.largescale.columns.ActivePathSet` (and
+therefore one shared :class:`~repro.largescale.shortest.ShortestPathOracle`)
+serves all ``B`` rows; at a bulletin refresh every refreshing row queries
+the oracle against its own posted snapshot (priced in its own scenario's
+effective network via the
+:class:`~repro.scenarios.scenario.ScenarioEnsemble` stacks), and the
+restricted set grows by the **union** of the per-row discoveries.  A new
 column enters with zero flow on every row -- including the rows that did not
 discover it -- and growth counts as a shared information event: the bulletin
 board re-posts every row the moment the set grows, so no row integrates over
-columns its snapshot has never priced.
+columns its snapshot has never priced.  Between refreshes the phase fields
+and initial states come from the fluid engine's kernels
+(:func:`~repro.batch.engine.stale_rates`,
+:func:`~repro.batch.engine.fresh_rates`,
+:func:`~repro.batch.engine.initial_flow_rows`).
 
 Row semantics:
 
 * **Closed mode** (``active.closed``): the set never grows, and every row is
-  **bit-identical** to the scalar :func:`simulate_with_column_generation`
-  run of the same configuration -- the per-phase field assembly, stepper
-  arithmetic and boundary projection reuse exactly the batched kernels whose
-  per-row scalar equivalence the batch engine's property suite pins down.
+  **bit-identical** to the one-row run of its own configuration -- rows are
+  independent and every kernel performs the same floating-point operations
+  row by row.
 * **Open mode**: rows share the union restricted set, which is a deliberate
-  departure from per-row scalar runs (a scalar row only ever sees its own
+  departure from per-row one-row runs (a one-row run only ever sees its own
   discoveries).  Column generation is documented as a heuristic away from
-  equilibrium, and sharing discoveries only ever *adds* zero-flow options; a
-  single-row batch (``B=1``) has nothing to union and reproduces the scalar
-  driver exactly.
+  equilibrium, and sharing discoveries only ever *adds* zero-flow options.
+
+The reference for the dynamics is ``tests/data/cg_goldens.json``, frozen
+from the former scalar phase loop before it was deleted;
+``tests/largescale/test_cg_goldens.py`` holds the one-row run to it at
+1e-12 relative.
 
 Scenario closures evict per row: a row whose scenario closes an edge moves
-the flow of its crossing columns onto its best open column, exactly like the
-scalar driver, while other rows keep routing over those columns.  At the end
-of the run every row receives the oracle's relative-duality-gap certificate
-(the same one Frank--Wolfe uses), so a batched run documents per row how far
-from Wardrop equilibrium it settled.
+the flow of its crossing columns onto its best open column, while other rows
+keep routing over those columns.  At the end of the run every row receives
+the oracle's relative-duality-gap certificate (the same one Frank--Wolfe
+uses), so a batched run documents per row how far from Wardrop equilibrium
+it settled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..batch.board import BatchBulletinBoard
+from ..batch.engine import fresh_rates, initial_flow_rows, stale_rates
 from ..core.dynamics import (
     batch_stepper_for,
     integration_step_for,
     num_integration_steps,
 )
-from ..core.policy import ReroutingPolicy
 from ..core.trajectory import PhaseRecord, Trajectory
 from ..telemetry.runtime import get_telemetry
 from ..wardrop.flow import FlowVector
@@ -71,6 +77,11 @@ __all__ = [
     "BatchColumnGenerationResult",
     "simulate_with_column_generation_batch",
 ]
+
+# A vectorised stopping condition: ``stop_when(times, flows)`` receives the
+# phase-end times ``(B,)`` and the projected flows ``(B, P)`` on the current
+# restricted network and returns a ``(B,)`` boolean mask.
+CgStoppingCondition = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _grow_buffer(
@@ -99,8 +110,7 @@ class BatchColumnGenerationResult:
 
     All per-sample arrays are expressed on the **final** restricted network
     (``flows`` has shape ``(B, S, P_final)``); earlier samples carry zero
-    flow on later-discovered columns, exactly like the scalar result's
-    embedded trajectory.  ``duality_gaps`` holds the per-row relative
+    flow on later-discovered columns.  ``duality_gaps`` holds the per-row relative
     duality gap of the final flows in each row's final effective network --
     the oracle certificate that the row settled (close) to a Wardrop
     equilibrium of the *full* network.
@@ -141,7 +151,7 @@ class BatchColumnGenerationResult:
         """Materialise row ``row`` as a scalar :class:`Trajectory`."""
         trajectory = Trajectory(
             network=self.network,
-            policy_name=self.policy_labels[row] + " +column-generation(batch)",
+            policy_name=self.policy_labels[row] + " +column-generation",
             update_period=self.update_period if self.stale else 0.0,
         )
         for index, time in enumerate(self.times):
@@ -165,33 +175,6 @@ class BatchColumnGenerationResult:
                 )
             )
         return trajectory
-
-
-def _normalise_initial_flows(
-    network: WardropNetwork, batch: int, initial_flows
-) -> np.ndarray:
-    """Return the validated ``(B, P)`` start states (uniform by default)."""
-    if initial_flows is None:
-        return np.tile(FlowVector.uniform(network).values(), (batch, 1))
-    if isinstance(initial_flows, FlowVector):
-        if initial_flows.network is not network:
-            raise ValueError("initial flow belongs to a different network")
-        return np.tile(initial_flows.values(), (batch, 1))
-    if isinstance(initial_flows, np.ndarray):
-        flows = np.asarray(initial_flows, dtype=float)
-        if flows.shape != (batch, network.num_paths):
-            raise ValueError(
-                f"initial flow array has shape {flows.shape}, "
-                f"expected {(batch, network.num_paths)}"
-            )
-        return flows.copy()
-    vectors = list(initial_flows)
-    if len(vectors) != batch:
-        raise ValueError(f"got {len(vectors)} initial flows for a batch of {batch}")
-    for vector in vectors:
-        if vector.network is not network:
-            raise ValueError("initial flow belongs to a different network")
-    return np.stack([vector.values() for vector in vectors])
 
 
 class _PostedCostCache:
@@ -240,19 +223,26 @@ def simulate_with_column_generation_batch(
     stale: bool = True,
     steps_per_phase: int = 50,
     method: str = "rk4",
-    capacity: Optional[int] = None,
+    stop_when: Optional[CgStoppingCondition] = None,
 ) -> BatchColumnGenerationResult:
     """Run ``B`` column-generation replicas as one padded ``(B, P)`` ensemble.
 
     The rows share topology, update period, horizon and integration settings
     (that is what makes them batchable); ``scenarios`` and ``policies`` may
     vary per row.  The batch size is taken from ``scenarios`` or a
-    ``policies`` sequence, or passed explicitly as ``batch``.  ``capacity``
-    pre-pads the path dimension (default twice the seed width) so early
-    growth events scatter in place instead of reallocating.
+    ``policies`` sequence, or passed explicitly as ``batch``.  Each entry of
+    ``policies`` is a :class:`~repro.core.policy.ReroutingPolicy` or a
+    builder ``network -> policy`` re-invoked after every growth event.
+    ``initial_flows`` takes the forms the fluid engine accepts (``None``
+    for the uniform split, one :class:`FlowVector` of the seed network, a
+    sequence of ``B`` of them or a ``(B, P)`` array).
 
-    See the module docstring for the union-growth semantics; closed-mode
-    rows are bit-identical to :func:`simulate_with_column_generation`.
+    ``stop_when(times, flows)`` is evaluated at every phase boundary on the
+    ``(B,)`` phase-end times and the projected ``(B, P)`` flows on the
+    current restricted network, and returns a ``(B,)`` mask; the ensemble
+    stops after the first phase whose mask is all true.
+
+    See the module docstring for the union-growth semantics.
     """
     if update_period <= 0 or horizon <= 0:
         raise ValueError("update period and horizon must be positive")
@@ -285,18 +275,20 @@ def simulate_with_column_generation_batch(
     network = active.network
     oracle = active.oracle
     width = network.num_paths
-    pad = max(width, capacity if capacity is not None else 2 * width)
+    # Padding to twice the seed width lets early growth scatter in place.
+    pad = 2 * width
     stepper = batch_stepper_for(method)
     step = integration_step_for(update_period, steps_per_phase)
     num_phases = int(np.ceil(horizon / update_period))
     periods = np.full(size, update_period)
 
     def resolve_policies(net: WardropNetwork):
+        """Per-row policies, and what the field kernels take (the shared
+        policy, or the per-row list)."""
         resolved = [_resolve_policy(spec, net) for spec in policy_specs]
-        shared = resolved[0]
-        if any(p is not shared for p in resolved[1:]):
-            shared = None
-        return resolved, shared
+        if all(p is resolved[0] for p in resolved[1:]):
+            return resolved, resolved[0]
+        return resolved, resolved
 
     def build_environment(net: WardropNetwork):
         if scenarios is None:
@@ -305,14 +297,14 @@ def simulate_with_column_generation_batch(
 
         return ScenarioEnsemble(net, scenarios)
 
-    resolved, shared = resolve_policies(network)
+    resolved, field_policies = resolve_policies(network)
     ensemble = build_environment(network)
     board = BatchBulletinBoard(network, periods)
     positions = oracle.network_edge_positions(network)
     cost_cache = _PostedCostCache(oracle)
 
     state = np.zeros((size, pad))
-    state[:, :width] = _normalise_initial_flows(network, size, initial_flows)
+    state[:, :width] = initial_flow_rows(network, size, initial_flows)
     recorded = np.zeros((num_phases + 1, size, pad))
     recorded[0] = state
     start_flows = np.zeros((num_phases, size, pad))
@@ -343,6 +335,8 @@ def simulate_with_column_generation_batch(
         scenario = scenarios[row] if scenarios is not None else None
         return network if scenario is None else scenario.network_at(network, t)
 
+    all_rows = np.arange(size)
+
     completed = 0
     for phase in range(num_phases):
         phase_start = phase * update_period
@@ -367,9 +361,9 @@ def simulate_with_column_generation_batch(
             closed_now = [frozenset()] * size
 
         if stale:
-            # The per-row refresh rule of the scalar driver: the board's own
-            # floor(t/T) schedule (including its floating-point quirk, for
-            # closed-mode bit-identity) plus modulation-change forcing.
+            # The per-row refresh rule: the board's own floor(t/T) schedule
+            # (including its floating-point quirk, which the fluid engine
+            # shares) plus modulation-change forcing.
             refresh = board.needs_update(row_times)
             refresh = refresh | np.array(
                 [modulations[b] != posted_modulations[b] for b in range(size)]
@@ -420,7 +414,7 @@ def simulate_with_column_generation_batch(
                 board = BatchBulletinBoard(network, periods)
                 positions = oracle.network_edge_positions(network)
                 cost_cache = _PostedCostCache(oracle)
-                resolved, shared = resolve_policies(network)
+                resolved, field_policies = resolve_policies(network)
                 ensemble = build_environment(network)
                 family = None
                 if ensemble is not None:
@@ -462,74 +456,21 @@ def simulate_with_column_generation_batch(
         start_flows[phase] = state
         if stale:
             with tele.span("field_eval", rows=size):
-                if shared is not None:
-                    sigma = shared.sampling.probabilities_batch(
-                        network,
-                        board.posted_flows,
-                        board.posted_path_latencies,
-                    )
-                    mu = shared.migration.matrix_batch(board.posted_path_latencies)
-                else:
-                    sigma = np.stack(
-                        [
-                            resolved[row].sampling.probabilities(
-                                network,
-                                board.posted_flows[row],
-                                board.posted_path_latencies[row],
-                            )
-                            for row in range(size)
-                        ]
-                    )
-                    mu = np.stack(
-                        [
-                            resolved[row].migration.matrix(
-                                board.posted_path_latencies[row]
-                            )
-                            for row in range(size)
-                        ]
-                    )
-            # Same folded form as the scalar frozen_growth_field and the
-            # batch engine's _stale_rates -- closed-mode rows stay
-            # bit-identical to the scalar driver.
-            rates = sigma * mu
-            outflow_rates = rates.sum(axis=2)
-
-            def field_fn(_t, flows: np.ndarray) -> np.ndarray:
-                inflow = np.matmul(flows[:, None, :], rates)[:, 0, :]
-                return inflow - flows * outflow_rates
-
+                field_fn = stale_rates(
+                    network,
+                    field_policies,
+                    board.posted_flows,
+                    board.posted_path_latencies,
+                    all_rows,
+                )
         else:
-            network_ref = network
-            family_ref = family
 
-            def live_latencies(flows: np.ndarray) -> np.ndarray:
-                if family_ref is not None:
-                    return family_ref.path_latencies_batch(
-                        flows, np.arange(size)
-                    )
-                return network_ref.path_latencies_batch(flows)
+            def live_latencies(flows, rows, network=network, family=family):
+                if family is not None:
+                    return family.path_latencies_batch(flows, rows)
+                return network.path_latencies_batch(flows)
 
-            if shared is not None:
-                shared_ref = shared
-
-                def field_fn(_t, flows: np.ndarray) -> np.ndarray:
-                    return shared_ref.growth_rates_batch(
-                        network_ref, flows, flows, live_latencies(flows)
-                    )
-
-            else:
-                resolved_ref = resolved
-
-                def field_fn(_t, flows: np.ndarray) -> np.ndarray:
-                    live = live_latencies(flows)
-                    return np.stack(
-                        [
-                            resolved_ref[row].growth_rates(
-                                network_ref, flows[row], flows[row], live[row]
-                            )
-                            for row in range(size)
-                        ]
-                    )
+            field_fn = fresh_rates(network, field_policies, live_latencies, all_rows)
 
         duration = phase_end - phase_start
         with tele.span("integrate", state_bytes=state[:, :width].nbytes):
@@ -550,6 +491,17 @@ def simulate_with_column_generation_batch(
         phases_counter.add()
         phase_span.close()
         completed = phase + 1
+        if stop_when is not None:
+            hit = np.asarray(
+                stop_when(np.full(size, phase_end), state[:, :width]), dtype=bool
+            )
+            if hit.shape != (size,):
+                raise ValueError(
+                    f"stop_when returned shape {hit.shape}, expected ({size},)"
+                )
+            if hit.all():
+                tele.event("stop_when_fired", time=phase_end, phase=phase)
+                break
         if phase_end >= horizon:
             break
 

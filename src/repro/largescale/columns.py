@@ -13,9 +13,11 @@ restricted :class:`~repro.wardrop.network.WardropNetwork`.
 :class:`ActivePathSet` manages the restricted set (the classic
 :class:`~repro.wardrop.paths.PathSet` is recovered as the *closed* special
 case where augmentation is disabled), and
-:func:`simulate_with_column_generation` drives the rerouting dynamics on it,
-phase by phase, rebuilding the restricted network whenever a refresh
-discovers new routes.
+:func:`simulate_with_column_generation` drives the rerouting dynamics on it
+as the one-row run of the batched driver
+(:func:`~repro.largescale.batch_columns.simulate_with_column_generation_batch`),
+which rebuilds the restricted network whenever a refresh discovers new
+routes.
 
 Column generation is **exact at equilibrium** for the Beckmann problem: if
 the restricted dynamics settle at a flow whose shortest path (under live
@@ -35,10 +37,8 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple, Uni
 import networkx as nx
 import numpy as np
 
-from ..core.dynamics import integrate, integration_step_for
 from ..core.policy import ReroutingPolicy
-from ..core.trajectory import PhaseRecord, Trajectory
-from ..telemetry.runtime import get_telemetry
+from ..core.trajectory import Trajectory
 from ..wardrop.commodity import Commodity, normalise_demands
 from ..wardrop.flow import FlowVector
 from ..wardrop.network import WardropNetwork
@@ -247,22 +247,6 @@ class ActivePathSet:
             if any(edge in closed for edge in path.edges)
         ]
 
-    def embed(
-        self,
-        values: np.ndarray,
-        old_network: WardropNetwork,
-        new_network: WardropNetwork,
-    ) -> np.ndarray:
-        """Re-express a flow vector of ``old_network`` on ``new_network``.
-
-        Newly generated columns start with zero flow; every old path keeps
-        its value (the restricted set only ever grows).
-        """
-        embedded = np.zeros(new_network.num_paths)
-        for index, path in enumerate(old_network.paths):
-            embedded[new_network.paths.index_of(path)] = values[index]
-        return embedded
-
     def __repr__(self) -> str:
         return (
             f"ActivePathSet(paths={self.num_paths}, "
@@ -353,9 +337,9 @@ def simulate_with_column_generation(
 ) -> ColumnGenerationResult:
     """Run the rerouting dynamics with column generation at every refresh.
 
-    The loop mirrors the scalar
-    :class:`~repro.core.simulator.ReroutingSimulator` phase for phase.  At
-    each bulletin refresh the oracle is queried against the *posted* edge
+    This is the one-row run of
+    :func:`~repro.largescale.batch_columns.simulate_with_column_generation_batch`.
+    At each bulletin refresh the oracle is queried against the *posted* edge
     latencies (stale mode) or the live ones (fresh mode); newly discovered
     routes join the restricted set with zero flow before the phase
     integrates, so agents can sample them for the rest of the run -- route
@@ -364,8 +348,9 @@ def simulate_with_column_generation(
     ``policy`` may be a fixed :class:`ReroutingPolicy` (reused across
     growth, e.g. one whose migration constant covers the full network) or a
     builder ``network -> policy`` re-invoked after every growth event.
+    ``initial_flow`` belongs to ``active.network`` (the seed network).
     ``stop_when(time, flow)`` is evaluated at phase boundaries, exactly like
-    ``simulate``'s.
+    ``simulate``'s; ``flow`` lives on the current restricted network.
 
     ``scenario`` makes the environment nonstationary (sampled at phase
     starts, like the engines).  A scenario state *change* is treated as an
@@ -374,197 +359,35 @@ def simulate_with_column_generation(
     starts, the crossing columns are invalidated -- their flow moves onto
     each commodity's best open column (``eviction_events`` records the
     volume) -- and the forced refresh seeds detour routes around the closed
-    link in the same instant.
+    link.
     """
-    if update_period <= 0 or horizon <= 0:
-        raise ValueError("update period and horizon must be positive")
-    if steps_per_phase <= 0:
-        raise ValueError("steps_per_phase must be positive")
-    network = active.network
-    if scenario is not None:
-        scenario.require_edges(network)
-    # ``is None``, not truthiness: FlowVector defines __len__, so ``or``
-    # would silently replace a zero-length flow instead of rejecting it.
-    flow = FlowVector.uniform(network) if initial_flow is None else initial_flow
-    if flow.network is not network:
-        raise ValueError("initial flow belongs to a different network")
-    values = flow.values()
-    current_policy = _resolve_policy(policy, network)
-    step = integration_step_for(update_period, steps_per_phase)
+    from .batch_columns import simulate_with_column_generation_batch
 
-    # Samples are stored as raw arrays tagged with the path-set version; the
-    # final trajectory embeds them all on the last restricted network.
-    samples: List[Tuple[float, WardropNetwork, np.ndarray, int]] = [
-        (0.0, network, values.copy(), 0)
-    ]
-    boundaries: List[Tuple[int, float, float, np.ndarray, np.ndarray, WardropNetwork]] = []
-    growth_events: List[Tuple[int, List[Path]]] = []
-    path_counts: List[int] = []
-    eviction_events: List[Tuple[int, float]] = []
+    row_stop = None
+    if stop_when is not None:
 
-    tele = get_telemetry()
-    run_span = tele.span(
-        "engine_run",
-        engine="column-generation",
-        instance=network.graph.graph.get("name") or "-",
+        def row_stop(times: np.ndarray, flows: np.ndarray) -> np.ndarray:
+            flow = FlowVector(active.network, flows[0], validate=False)
+            return np.array([bool(stop_when(float(times[0]), flow))])
+
+    result = simulate_with_column_generation_batch(
+        active,
+        policy,
+        update_period=update_period,
+        horizon=horizon,
+        batch=1,
+        scenarios=None if scenario is None else [scenario],
+        initial_flows=initial_flow,
         stale=stale,
+        steps_per_phase=steps_per_phase,
         method=method,
-        initial_paths=network.num_paths,
+        stop_when=row_stop,
     )
-    added_counter = tele.counter("cg.columns_added")
-    invalidated_counter = tele.counter("cg.columns_invalidated")
-    refresh_counter = tele.counter("cg.bulletin_refreshes")
-    phases_counter = tele.counter("cg.phases_integrated")
-
-    num_phases = int(np.ceil(horizon / update_period))
-    posted_time = -np.inf
-    posted_values: Optional[np.ndarray] = None
-    posted_latencies: Optional[np.ndarray] = None
-    posted_modulation = None
-    previously_closed: frozenset = frozenset()
-    for phase in range(num_phases):
-        phase_start = phase * update_period
-        phase_end = min((phase + 1) * update_period, horizon)
-
-        if scenario is not None:
-            effective = scenario.network_at(network, phase_start)
-            modulation = scenario.modulation_at(phase_start)
-            closed_now = scenario.closed_edges(phase_start)
-        else:
-            effective = network
-            modulation = None
-            closed_now = frozenset()
-
-        if stale:
-            # The board refreshes on exactly the scalar BulletinBoard's
-            # schedule, including the floating-point floor(t/T) quirk that
-            # occasionally leaves a snapshot in place for one more phase --
-            # closed-mode runs stay bit-identical to ``simulate``.
-            # A scenario state change forces a refresh regardless.
-            refresh_time = float(
-                np.floor(phase_start / update_period) * update_period
-            )
-            refresh = (
-                posted_values is None
-                or refresh_time > posted_time + 1e-12
-                or modulation != posted_modulation
-            )
-        else:
-            refresh_time = phase_start
-            refresh = True
-        phase_span = tele.span("phase", index=phase, start=phase_start)
-        if refresh:
-            # Refresh instant: the board posts the live flow, and the oracle
-            # is consulted on exactly what the board shows (priced in the
-            # phase's effective environment).
-            cg_span = tele.span("column_generation_round", phase=phase)
-            tele.event("bulletin_refresh", time=refresh_time, phase=phase)
-            refresh_counter.add()
-            costs = active.posted_costs(effective, values)
-            added = active.augment(costs)
-            if added:
-                growth_events.append((phase, added))
-                added_counter.add(len(added))
-                new_network = active.network
-                values = active.embed(values, network, new_network)
-                network = new_network
-                effective = (
-                    scenario.network_at(network, phase_start)
-                    if scenario is not None
-                    else network
-                )
-                current_policy = _resolve_policy(policy, network)
-            newly_closed = closed_now - previously_closed
-            if newly_closed:
-                crossing = active.invalidate_columns(network, closed_now)
-                invalidated_counter.add(len(crossing))
-                values, moved = _evict_closed_columns(
-                    network, values, crossing, effective.path_latencies(values)
-                )
-                if moved > 0.0:
-                    eviction_events.append((phase, moved))
-                    tele.event("columns_evicted", phase=phase, volume=moved)
-                    tele.histogram("cg.evicted_volume").observe(moved)
-            posted_values = values.copy()
-            posted_latencies = effective.path_latencies(posted_values)
-            posted_time = refresh_time
-            posted_modulation = modulation
-            cg_span.annotate(columns_added=len(added), paths=network.num_paths)
-            cg_span.close()
-        previously_closed = closed_now
-        path_counts.append(network.num_paths)
-
-        start_values = values.copy()
-        if stale:
-            with tele.span("field_eval"):
-                field_fn = current_policy.frozen_growth_field(
-                    network, posted_values, posted_latencies
-                )
-        else:
-            policy_ref = current_policy
-            network_ref = network
-            effective_ref = effective
-
-            def field_fn(_t: float, state: np.ndarray) -> np.ndarray:
-                live = effective_ref.path_latencies(state)
-                return policy_ref.growth_rates(network_ref, state, state, live)
-
-        with tele.span("integrate", state_bytes=values.nbytes):
-            raw = integrate(field_fn, values, phase_start, phase_end, step, method)
-        values = FlowVector(network, raw, validate=False).projected().values()
-        boundaries.append(
-            (phase, phase_start, phase_end, start_values, values.copy(), network)
-        )
-        samples.append((phase_end, network, values.copy(), phase))
-        phases_counter.add()
-        phase_span.close()
-        if stop_when is not None and stop_when(
-            phase_end, FlowVector(network, values, validate=False)
-        ):
-            tele.event("stop_when_fired", time=phase_end, phase=phase)
-            break
-        if phase_end >= horizon:
-            break
-
-    run_span.annotate(
-        final_paths=network.num_paths,
-        columns_added=sum(len(paths) for _, paths in growth_events),
-    )
-    run_span.close()
-    tele.counter("cg.runs").add()
-    final_network = network
-    trajectory = Trajectory(
-        network=final_network,
-        policy_name=current_policy.label() + " +column-generation",
-        update_period=update_period if stale else 0.0,
-    )
-    for time, sample_network, sample_values, phase_index in samples:
-        embedded = (
-            sample_values
-            if sample_network is final_network
-            else active.embed(sample_values, sample_network, final_network)
-        )
-        trajectory.record(
-            time, FlowVector(final_network, embedded, validate=False), phase_index
-        )
-    for phase, start_time, end_time, start_values, end_values, sample_network in boundaries:
-        if sample_network is not final_network:
-            start_values = active.embed(start_values, sample_network, final_network)
-            end_values = active.embed(end_values, sample_network, final_network)
-        trajectory.record_phase(
-            PhaseRecord(
-                index=phase,
-                start_time=start_time,
-                end_time=end_time,
-                start_flow=FlowVector(final_network, start_values, validate=False),
-                end_flow=FlowVector(final_network, end_values, validate=False),
-            )
-        )
     return ColumnGenerationResult(
-        trajectory=trajectory,
-        network=final_network,
+        trajectory=result.trajectory(0),
+        network=result.network,
         active=active,
-        growth_events=growth_events,
-        path_counts=path_counts,
-        eviction_events=eviction_events,
+        growth_events=result.growth_events,
+        path_counts=result.path_counts,
+        eviction_events=[(phase, volume) for phase, _, volume in result.eviction_events],
     )

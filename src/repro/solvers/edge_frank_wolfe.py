@@ -111,10 +111,16 @@ def relative_duality_gap(
     oracle: ShortestPathOracle,
     edge_flows: np.ndarray,
 ) -> float:
-    """Return ``TSTT / SPTT - 1`` of an edge-flow vector (0 at equilibrium)."""
+    """Return ``TSTT / SPTT - 1`` of an edge-flow vector (0 at equilibrium).
+
+    When every commodity has a zero-cost route (``SPTT = 0``) the gap is 0
+    if the flow costs nothing either, and infinite otherwise.
+    """
     costs = oracle.latency_costs(network, edge_flows)
     load = oracle.all_or_nothing(costs)
     tstt = float(np.dot(costs, edge_flows))
+    if load.sptt <= 0.0:
+        return 0.0 if tstt <= 0.0 else float("inf")
     return tstt / load.sptt - 1.0
 
 

@@ -1,10 +1,11 @@
 """Runner fusion of column-generation cases.
 
 Same-network CG cases sharing a phase grid fuse into one batched CG call
-under ``engine="batch"``/``"auto"``; rows with an initial flow or a stop
-condition stay on the scalar path so the scalar driver's informative
-errors surface.  Open-mode fused rows grow one shared (union) restricted
-path set, so scalar equality is asserted where it is guaranteed: B=1
+under ``engine="batch"``/``"auto"``; a lone case runs as a group of one.
+Cases with an initial flow, a stop condition or the agents method are
+rejected by the batched group runner with the same messages on every
+backend.  Open-mode fused rows grow one shared (union) restricted path set,
+so equality with the one-row run is asserted where it is guaranteed: B=1
 groups, and multi-row groups whose rows are identical (union growth then
 coincides with each row's own discovery).
 """
@@ -19,7 +20,7 @@ from repro.batch import distance_stop
 from repro.core import replicator_policy, uniform_policy
 from repro.experiments import group_key, run_cases
 from repro.instances import braess_network, grid_network
-from repro.largescale import ActivePathSet, simulate_with_column_generation
+from repro.largescale import ActivePathSet, simulate_with_column_generation_batch
 from repro.scenarios import LinkIncident, Scenario
 from repro.wardrop import FlowVector
 
@@ -80,8 +81,11 @@ class TestGroupKeys:
         b = cg_case(braess_network(), uniform_policy(braess_network()))
         assert group_key(a) != group_key(b)
 
-    def test_initial_flow_and_stop_when_mark_serial_only(self):
+    def test_initial_flow_and_stop_when_cases_group_like_plain_cases(self):
+        # No serial-only carve-out: the batched group runner itself rejects
+        # these cases, so they key like any other CG case.
         network = braess_network()
+        plain = cg_case(network, uniform_policy(network))
         flowed = cg_case(
             network,
             uniform_policy(network),
@@ -92,8 +96,9 @@ class TestGroupKeys:
             uniform_policy(network),
             stop_when=distance_stop(np.zeros(network.num_paths), 1e-9),
         )
-        assert group_key(flowed)[3]
-        assert group_key(stopped)[3]
+        assert not group_key(flowed)[3]
+        assert not group_key(stopped)[3]
+        assert group_key(flowed) == group_key(stopped) == group_key(plain)
 
 
 class TestFusedExecution:
@@ -105,9 +110,9 @@ class TestFusedExecution:
         batch = run_cases(make(), flows_row_builder, engine="batch").rows
         assert serial == batch
 
-    def test_identical_rows_fuse_and_match_the_scalar_driver(self):
+    def test_identical_rows_fuse_and_match_the_one_row_run(self):
         # Identical rows make union growth coincide with each row's own
-        # discovery, so every fused row must replay the scalar CG run.
+        # discovery, so every fused row must replay the one-row CG run.
         network = braess_network()
         scenario = incident(network, 0)
         cases = [
@@ -115,15 +120,16 @@ class TestFusedExecution:
             for _ in range(3)
         ]
         rows = run_cases(cases, flows_row_builder, engine="batch").rows
-        scalar = simulate_with_column_generation(
+        single = simulate_with_column_generation_batch(
             ActivePathSet.from_network(network),
             uniform_policy(network),
             update_period=0.25,
             horizon=2.0,
             steps_per_phase=5,
-            scenario=scenario,
+            batch=1,
+            scenarios=[scenario],
         )
-        expected = flows_row_builder(scalar.trajectory)
+        expected = flows_row_builder(single.trajectory(0))
         assert len(rows) == 3
         for row in rows:
             assert row == expected
@@ -144,7 +150,8 @@ class TestFusedExecution:
         widths = {len(row["flows"][0]) for row in rows}
         assert len(widths) == 1
 
-    def test_serial_only_cg_cases_surface_the_scalar_errors(self):
+    @pytest.mark.parametrize("engine", ["batch", "auto", "serial"])
+    def test_rejected_cg_cases_raise_the_same_error_on_every_backend(self, engine):
         network = braess_network()
         flowed = cg_case(
             network,
@@ -152,4 +159,7 @@ class TestFusedExecution:
             initial_flow=FlowVector.uniform(network),
         )
         with pytest.raises(ValueError, match="column-generation"):
-            run_cases([flowed], flows_row_builder, engine="batch")
+            run_cases([flowed], flows_row_builder, engine=engine)
+        agents = cg_case(network, uniform_policy(network), method="agents")
+        with pytest.raises(ValueError, match="fluid methods only"):
+            run_cases([agents, agents], flows_row_builder, engine=engine)

@@ -1,5 +1,15 @@
 """Batched column generation: closed-mode bit-identity, union growth,
-in-place buffer growth, per-row eviction and the certificate surface."""
+in-place buffer growth, per-row eviction, stop conditions and the
+certificate surface.
+
+``simulate_with_column_generation`` is the one-row run of the batched
+driver; the reference for the dynamics themselves is
+``tests/data/cg_goldens.json`` (see ``test_cg_goldens.py``).
+"""
+
+import importlib.util
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,26 +21,32 @@ from repro.largescale import (
     simulate_with_column_generation,
     simulate_with_column_generation_batch,
 )
+from repro.largescale.batch_columns import _grow_buffer
 from repro.largescale.columns import _evict_closed_columns
 from repro.scenarios import LinkIncident, Scenario, get_scenario
+from repro.wardrop import FlowVector, equilibrium_violation
+
+DATA = Path(__file__).resolve().parents[1] / "data"
 
 
 def trajectory_matrix(trajectory):
-    """Stack a scalar trajectory's samples into an ``(S, P)`` array."""
+    """Stack a trajectory's samples into an ``(S, P)`` array."""
     return np.array([point.flow.values() for point in trajectory.points])
 
 
-def scalar_run(network, policy, closed=True, scenario=None, **kwargs):
-    return simulate_with_column_generation(
+def one_row_run(network, policy, closed=True, scenario=None, **kwargs):
+    """The one-row batched run every row of a batch must reproduce."""
+    return simulate_with_column_generation_batch(
         ActivePathSet.from_network(network, closed=closed),
         policy,
-        scenario=scenario,
+        batch=1,
+        scenarios=None if scenario is None else [scenario],
         **kwargs,
     )
 
 
 class TestClosedModeBitIdentity:
-    """Closed-mode batched rows reproduce the scalar driver bit for bit."""
+    """Closed-mode batched rows reproduce the one-row run bit for bit."""
 
     SETTINGS = dict(update_period=0.125, horizon=2.0, steps_per_phase=7)
 
@@ -39,7 +55,7 @@ class TestClosedModeBitIdentity:
         "factory",
         [braess_network, lambda: grid_network(2, 3, num_commodities=2, seed=3)],
     )
-    def test_rows_match_scalar_closed_runs(self, policy_builder, factory):
+    def test_rows_match_one_row_closed_runs(self, policy_builder, factory):
         network = factory()
         policy = policy_builder(network)
         batched = simulate_with_column_generation_batch(
@@ -48,16 +64,16 @@ class TestClosedModeBitIdentity:
             batch=3,
             **self.SETTINGS,
         )
-        scalar = scalar_run(network, policy, **self.SETTINGS)
-        reference = trajectory_matrix(scalar.trajectory)
+        single = one_row_run(network, policy, **self.SETTINGS)
+        reference = single.flow_matrix(0)
         assert batched.growth_events == []
-        assert np.array_equal(batched.times, [p.time for p in scalar.trajectory.points])
+        assert np.array_equal(batched.times, single.times)
         for row in range(3):
             assert np.array_equal(reference, batched.flow_matrix(row))
 
-    def test_rows_with_distinct_scenarios_match_scalar(self):
+    def test_rows_with_distinct_scenarios_match_one_row_runs(self):
         """Per-row incidents (capacity drops at different times) must leave
-        every closed-mode row bit-identical to its own scalar run."""
+        every closed-mode row bit-identical to its own one-row run."""
         network = grid_network(2, 3, num_commodities=2, seed=3)
         policy = uniform_policy(network)
         edge = network.edges[0]
@@ -73,14 +89,12 @@ class TestClosedModeBitIdentity:
             **self.SETTINGS,
         )
         for row, scenario in enumerate(scenarios):
-            scalar = scalar_run(network, policy, scenario=scenario, **self.SETTINGS)
-            assert np.array_equal(
-                trajectory_matrix(scalar.trajectory), batched.flow_matrix(row)
-            )
+            single = one_row_run(network, policy, scenario=scenario, **self.SETTINGS)
+            assert np.array_equal(single.flow_matrix(0), batched.flow_matrix(row))
 
-    def test_closure_scenario_rows_match_scalar_including_eviction(self):
+    def test_closure_scenario_rows_match_one_row_runs_including_eviction(self):
         """A closure evicts crossing columns per row at the onset phase; the
-        repaired states must still replay the scalar driver exactly."""
+        repaired states must still replay the one-row runs exactly."""
         network = braess_network()
         policy = uniform_policy(network)
         scenarios = [get_scenario("braess-closure", network), None]
@@ -94,12 +108,10 @@ class TestClosedModeBitIdentity:
         assert batched.eviction_events, "the closure must evict crossing columns"
         assert all(row == 0 for _, row, _ in batched.eviction_events)
         for row, scenario in enumerate(scenarios):
-            scalar = scalar_run(network, policy, scenario=scenario, **settings)
-            assert np.array_equal(
-                trajectory_matrix(scalar.trajectory), batched.flow_matrix(row)
-            )
+            single = one_row_run(network, policy, scenario=scenario, **settings)
+            assert np.array_equal(single.flow_matrix(0), batched.flow_matrix(row))
 
-    def test_closed_rows_on_a_grown_network_match_scalar(self):
+    def test_closed_rows_on_a_grown_network_match_one_row_run(self):
         """The regression behind the 1-ulp projection bug: freeze a set that
         *grew* (commodity blocks at shifted offsets) and require closed-mode
         rows to stay bit-identical on the grown geometry."""
@@ -120,8 +132,8 @@ class TestClosedModeBitIdentity:
             batch=4,
             **self.SETTINGS,
         )
-        scalar = scalar_run(grown, policy, **self.SETTINGS)
-        reference = trajectory_matrix(scalar.trajectory)
+        single = one_row_run(grown, policy, **self.SETTINGS)
+        reference = single.flow_matrix(0)
         for row in range(4):
             assert np.array_equal(reference, batched.flow_matrix(row))
 
@@ -129,9 +141,10 @@ class TestClosedModeBitIdentity:
 class TestOpenModeGrowth:
     SETTINGS = dict(update_period=0.125, horizon=5.0, steps_per_phase=10)
 
-    def test_single_row_batch_reproduces_scalar_driver(self):
-        """B=1 has nothing to union: growth events, final path set and every
-        sample must match the scalar open-mode driver bit for bit."""
+    def test_single_row_batch_is_the_column_generation_driver(self):
+        """B=1 has nothing to union: ``simulate_with_column_generation``
+        returns the one-row batch run -- growth events, final path set and
+        every sample bit for bit."""
         network = grid_network(3, 3, num_commodities=2, seed=3)
         policy = uniform_policy(network)
         batched = simulate_with_column_generation_batch(
@@ -218,27 +231,142 @@ class TestOpenModeGrowth:
 
 
 class TestBufferCapacity:
-    def test_tight_capacity_reallocates_and_matches_default(self):
-        """``capacity=width`` forces the doubling reallocation on the first
-        growth event; the run must stay bitwise equal to the default-padded
-        one (growth placement is index arithmetic, not arithmetic on flows)."""
-        network = grid_network(3, 3, num_commodities=2, seed=3)
-        policy = uniform_policy(network)
-        settings = dict(update_period=0.125, horizon=5.0, steps_per_phase=10)
-        width = ActivePathSet.from_network(network).num_paths
-        tight = simulate_with_column_generation_batch(
+    """``_grow_buffer`` moves old columns to their post-growth indices.  The
+    default padding is twice the seed width; the open-mode goldens grow past
+    it (grid-3x3: 2 -> 8 columns), so the doubling branch also runs end to
+    end in ``test_cg_goldens.py``."""
+
+    PERM = np.array([0, 2, 3])  # a column joins between old columns 0 and 1
+
+    def test_growth_within_capacity_scatters_in_place(self):
+        buffer = np.zeros((2, 6))
+        buffer[:, :3] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        grown = _grow_buffer(buffer, self.PERM, 3, 4)
+        assert grown is buffer
+        assert np.array_equal(
+            grown, [[1.0, 0.0, 2.0, 3.0, 0.0, 0.0], [4.0, 0.0, 5.0, 6.0, 0.0, 0.0]]
+        )
+
+    def test_growth_past_capacity_doubles_the_buffer(self):
+        buffer = np.array([[[1.0, 2.0, 3.0]], [[4.0, 5.0, 6.0]]])  # (S, B, P)
+        grown = _grow_buffer(buffer, self.PERM, 3, 4)
+        assert grown is not buffer
+        assert grown.shape == (2, 1, 6)
+        assert np.array_equal(
+            grown, [[[1.0, 0.0, 2.0, 3.0, 0.0, 0.0]], [[4.0, 0.0, 5.0, 6.0, 0.0, 0.0]]]
+        )
+
+    def test_growth_far_past_capacity_fits_the_new_width(self):
+        buffer = np.array([[1.0, 2.0]])
+        grown = _grow_buffer(buffer, np.array([0, 4]), 2, 7)
+        assert grown.shape == (1, 7)
+        assert np.array_equal(grown, [[1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0]])
+
+
+class TestStopWhen:
+    """The batched driver's ``stop_when(times, flows) -> (B,)`` mask."""
+
+    @staticmethod
+    def load_golden(name):
+        spec = importlib.util.spec_from_file_location("cg_goldens", DATA / "cg_goldens.py")
+        goldens = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(goldens)
+        with goldens.GOLDEN_PATH.open() as handle:
+            return goldens, json.load(handle)[name]
+
+    def test_one_row_mask_matches_the_golden_firing_case(self):
+        goldens, golden = self.load_golden("grid-3x3/open/stop")
+        spec = golden["spec"]
+        active = goldens.build_active(spec)
+        seen = []
+
+        def stop_when(times, flows):
+            assert times.shape == (1,) and flows.shape == (1, active.network.num_paths)
+            seen.append(float(times[0]))
+            flow = FlowVector(active.network, flows[0], validate=False)
+            return np.array([equilibrium_violation(flow) < spec["stop"]])
+
+        result = simulate_with_column_generation_batch(
+            active,
+            goldens.POLICIES[spec["policy"]](active.network),
+            update_period=spec["period"],
+            horizon=spec["horizon"],
+            batch=1,
+            steps_per_phase=spec["steps"],
+            stop_when=stop_when,
+        )
+        expected = golden["result"]
+        assert seen == expected["times"][1:]
+        assert result.times[-1] < spec["horizon"]
+        assert [goldens.path_key(p) for p in result.network.paths] == expected["paths"]
+        np.testing.assert_allclose(
+            result.flow_matrix(0), expected["flows"], rtol=1e-12, atol=1e-12
+        )
+
+    def test_ensemble_stops_only_when_every_row_fires(self):
+        network = braess_network()
+        settings = dict(update_period=0.25, horizon=3.0, steps_per_phase=5, batch=2)
+        calls = []
+
+        def stop_when(times, flows):
+            calls.append(float(times[0]))
+            return np.array([True, len(calls) >= 4])
+
+        result = simulate_with_column_generation_batch(
             ActivePathSet.from_network(network),
-            policy,
-            batch=2,
-            capacity=width,
+            uniform_policy(network),
+            stop_when=stop_when,
             **settings,
         )
-        padded = simulate_with_column_generation_batch(
-            ActivePathSet.from_network(network), policy, batch=2, **settings
-        )
-        assert tight.network.num_paths > width
-        assert np.array_equal(tight.flows, padded.flows)
-        assert np.array_equal(tight.phase_start_flows, padded.phase_start_flows)
+        assert calls == [0.25, 0.5, 0.75, 1.0]
+        assert len(result.phase_spans) == 4
+        assert np.array_equal(result.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+
+    @pytest.mark.parametrize("mask", [np.array(True), np.ones(3, dtype=bool)])
+    def test_wrong_mask_shape_raises_one_clear_error(self, mask):
+        network = braess_network()
+        with pytest.raises(ValueError) as error:
+            simulate_with_column_generation_batch(
+                ActivePathSet.from_network(network),
+                uniform_policy(network),
+                update_period=0.25,
+                horizon=1.0,
+                batch=2,
+                stop_when=lambda times, flows: mask,
+            )
+        assert str(error.value) == f"stop_when returned shape {mask.shape}, expected (2,)"
+
+
+class TestInitialFlowErrors:
+    """Both entry points validate initial flows with the fluid engine's
+    checks, so they raise the same single-line errors."""
+
+    @staticmethod
+    def errors(initial):
+        network = braess_network()
+        messages = []
+        for run in (
+            lambda active: simulate_with_column_generation(
+                active, uniform_policy(network), 0.25, 1.0, initial_flow=initial
+            ),
+            lambda active: simulate_with_column_generation_batch(
+                active, uniform_policy(network), 0.25, 1.0, batch=1,
+                initial_flows=initial,
+            ),
+        ):
+            with pytest.raises(ValueError) as error:
+                run(ActivePathSet.from_network(network, closed=True))
+            messages.append(str(error.value))
+        return messages
+
+    def test_wrong_network_flow(self):
+        scalar, batched = self.errors(FlowVector.uniform(braess_network()))
+        assert scalar == batched == "initial flow belongs to a different network"
+
+    def test_wrong_shape_array(self):
+        scalar, batched = self.errors(np.full(3, 1.0 / 3.0))
+        assert scalar == batched == "initial flows have shape (3,), expected (1, 3)"
+        assert "\n" not in scalar
 
 
 class TestEvictionHelpers:

@@ -95,22 +95,28 @@ class TestGrowthSemantics:
             for path in paths:
                 assert path in network.paths
 
-    def test_embedding_preserves_old_flows_and_zeroes_new_columns(self):
+    def test_growth_keeps_old_flows_and_zeroes_new_columns(self):
+        """A growth phase starts from the previous phase's end state: every
+        old column keeps its flow and every new column enters at zero
+        (``test_batch_columns.py::TestOpenModeGrowth::
+        test_new_columns_enter_with_zero_flow_on_every_row`` checks the same
+        on a multi-row union)."""
         network = grid_network(2, 3, num_commodities=1, seed=3)
-        active = ActivePathSet.from_network(network)
-        old_network = active.network
-        values = FlowVector.uniform(old_network).values()
-        # Posting the seed congestion makes an unknown route cheapest.
-        added = active.augment(active.posted_costs(old_network, values))
-        assert added, "seed congestion should reveal a new cheapest route"
-        grown = active.network
-        assert grown.num_paths == old_network.num_paths + len(added)
-        embedded = active.embed(values, old_network, grown)
-        assert embedded.sum() == pytest.approx(values.sum())
-        for i, path in enumerate(old_network.paths):
-            assert embedded[grown.paths.index_of(path)] == values[i]
-        for path in added:
-            assert embedded[grown.paths.index_of(path)] == 0.0
+        result = simulate_with_column_generation(
+            ActivePathSet.from_network(network), uniform_policy,
+            update_period=0.125, horizon=2.0, steps_per_phase=10,
+        )
+        phases = result.trajectory.phases
+        grown = result.network
+        later = [(phase, paths) for phase, paths in result.growth_events if phase > 0]
+        assert later, "congestion should reveal a new cheapest route after phase 0"
+        for phase, paths in later:
+            start = phases[phase].start_flow.values()
+            previous_end = phases[phase - 1].end_flow.values()
+            assert np.array_equal(start, previous_end)
+            assert start.sum() == pytest.approx(network.commodities[0].demand)
+            for path in paths:
+                assert start[grown.paths.index_of(path)] == 0.0
 
 
 class TestFullEnumerationEquivalence:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.instances import braess_network, grid_network, pigou_network
+from repro.instances import braess_network, grid_network, pigou_network, two_link_network
 from repro.largescale import ShortestPathOracle
 from repro.solvers import (
     relative_duality_gap,
@@ -117,3 +117,12 @@ def test_edge_solver_rejects_path_space_methods():
         solve_edge_flow_equilibrium(network, method="pg")
     with pytest.raises(ValueError, match="newton"):
         solve_edge_flow_equilibrium(network, method="newton")
+
+
+def test_duality_gap_with_a_free_route_is_zero_or_infinite():
+    """Two links of latency max(0, x - 1/2): below the threshold both cost
+    nothing, so SPTT = 0 and the gap must not divide by it."""
+    network = two_link_network(beta=4.0)
+    oracle = ShortestPathOracle.for_network(network)
+    assert relative_duality_gap(network, oracle, np.array([0.5, 0.5])) == 0.0
+    assert relative_duality_gap(network, oracle, np.array([1.0, 0.0])) == float("inf")

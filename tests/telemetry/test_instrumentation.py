@@ -117,6 +117,8 @@ class TestAgentsBatch:
 
 class TestColumnGeneration:
     def test_spans_counters_and_bit_identity(self):
+        """``simulate_with_column_generation`` is a one-row batched CG run,
+        so it reports the batched driver's engine name and counters."""
         network = sioux_falls_network(max_od_pairs=10)
 
         def build():
@@ -132,12 +134,12 @@ class TestColumnGeneration:
         )
         assert plain.total_columns_added == traced.total_columns_added
         (run,) = engine_runs(tele)
-        assert run["attrs"]["engine"] == "column-generation"
+        assert run["attrs"]["engine"] == "column-generation-batch"
         assert run["attrs"]["final_paths"] == traced.network.num_paths
         assert "column_generation_round" in span_names(tele)
         flat = tele.metrics.flatten()
-        assert flat["cg.phases_integrated"] > 0
-        assert flat["cg.columns_added"] == traced.total_columns_added
+        assert flat["cg_batch.phases_integrated"] > 0
+        assert flat["cg_batch.columns_added"] == traced.total_columns_added
 
 
 class TestEdgeFrankWolfe:
